@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .dynamics import BlochVector
+from .dynamics import BlochVector, _first, _item
 from .errors import DomainError, PrecisionLossError
 
 LN2 = math.log(2.0)
@@ -32,67 +31,97 @@ _ETA_TOL = 1e-9
 _CLOSED_FORM_MIN_ETA = 1e-3   # below this the closed form cancels badly
 _CLOSED_FORM_MAX_ETA = 1e-8   # 1 - eta below this: use the analytic limit
 _MAX_TERMS = 10 ** 6
+_BLOCK_ELEMENTS = 2 ** 13   # series terms held at once
+_FIRST_BLOCK = 8            # terms per point in a batch's first block
 _TERM_FLOOR = 1e-300
 _TERM_MAGNITUDE_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
 class EntropyRecord:
-    """All entropy measures evaluated at one time point."""
+    """All entropy measures at one time point, or one array each over a grid."""
 
-    t: float
-    eta: float
-    xi: float
-    gamma: float
-    wehrl_closed: float
-    wehrl_series: float
-    gamma_norm: float
-    wehrl_norm: float
-
-
-def _check_eta(eta: float) -> float:
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta!r}")
-    if eta < 0.0 or eta > 1.0 + _ETA_TOL:
-        raise DomainError(f"eta = {eta!r} outside [0, 1]")
-    return min(eta, 1.0)
+    t: float | np.ndarray
+    eta: float | np.ndarray
+    xi: float | np.ndarray
+    gamma: float | np.ndarray
+    wehrl_closed: float | np.ndarray
+    wehrl_series: float | np.ndarray
+    gamma_norm: float | np.ndarray
+    wehrl_norm: float | np.ndarray
 
 
-def linear_entropy(eta: float) -> float:
+def _check_eta(eta) -> np.ndarray:
+    """eta as a float64 array (0-d for a scalar), checked and clamped to 1."""
+    eta = np.array(eta, dtype=float)
+    bad = ~np.isfinite(eta)
+    if bad.any():
+        raise DomainError(f"eta must be finite, got {_first(eta, bad)!r}")
+    bad = (eta < 0.0) | (eta > 1.0 + _ETA_TOL)
+    if bad.any():
+        raise DomainError(f"eta = {_first(eta, bad)!r} outside [0, 1]")
+    return np.minimum(eta, 1.0, out=eta)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 ln 0 = 0."""
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def linear_entropy(eta):
     """Linear entropy (1 - eta^2)/2; 0 for pure, 1/2 for maximally mixed."""
     eta = _check_eta(eta)
-    return 0.5 * (1.0 - eta * eta)
+    return _item(0.5 * (1.0 - eta * eta))
 
 
-def von_neumann_entropy(eta: float) -> float:
+def von_neumann_entropy(eta):
     """von Neumann entropy from the eigenvalues (1 +- eta)/2, in nats."""
     eta = _check_eta(eta)
-    mu_plus = 0.5 * (1.0 + eta)
-    mu_minus = 0.5 * (1.0 - eta)
-    out = 0.0
-    for mu in (mu_plus, mu_minus):
-        if mu > 0.0:  # 0 log 0 = 0 convention
-            out -= mu * math.log(mu)
-    return out
+    return _item(0.0 - _xlogx(0.5 * (1.0 + eta)) - _xlogx(0.5 * (1.0 - eta)))
 
 
-def _sum_series(eta: float, denom, series_tol: float) -> float:
-    """Sum eta^{2n} / denom(n) with a relative-term stopping rule."""
+def _sum_series(eta: np.ndarray, denom, series_tol: float) -> np.ndarray:
+    """Sum eta^{2n} / denom(n) for each eta, with a relative-term stopping rule.
+
+    Each sum stops at the first n where term < max(series_tol * partial sum,
+    1e-300).  Terms are made a block at a time, powers by
+    ``np.multiply.accumulate`` and partial sums by ``np.add.accumulate``,
+    which keep the order of a term-by-term loop, so every sum is the one that
+    loop gives, bit for bit.  Points leave the batch once they stop; blocks
+    double in length within ``_BLOCK_ELEMENTS`` terms.
+    """
     if not series_tol > 0.0:
         raise DomainError("series_tol must be positive")
-    q = eta * eta
-    power = 1.0
-    acc = 0.0
-    for n in range(1, _MAX_TERMS + 1):
-        power *= q
-        term = power / denom(n)
-        acc += term
-        if term < max(series_tol * acc, _TERM_FLOOR):
-            break
-    return acc
+    q = (eta * eta).ravel()
+    out = np.empty_like(q)
+    batch = _BLOCK_ELEMENTS // _FIRST_BLOCK
+    for lo in range(0, q.size, batch):
+        idx = np.arange(lo, min(lo + batch, q.size))
+        power = np.ones(idx.size)
+        acc = np.zeros(idx.size)
+        n0, length = 1, _FIRST_BLOCK
+        while idx.size:
+            length = min(length, _BLOCK_ELEMENTS // idx.size, _MAX_TERMS + 1 - n0)
+            powers = np.repeat(q[idx, None], length, axis=1)
+            powers[:, 0] *= power
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            terms = powers / denom(np.arange(n0, n0 + length, dtype=float))
+            sums = terms.copy()
+            sums[:, 0] += acc
+            np.add.accumulate(sums, axis=1, out=sums)
+            stop = terms < np.maximum(series_tol * sums, _TERM_FLOOR)
+            hit = stop.any(axis=1)
+            out[idx[hit]] = sums[hit, stop[hit].argmax(axis=1)]
+            idx, power, acc = idx[~hit], powers[~hit, -1], sums[~hit, -1]
+            n0 += length
+            if n0 > _MAX_TERMS:
+                out[idx] = acc
+                break
+            length *= 2
+    return out.reshape(eta.shape)
 
 
-def von_neumann_series(eta: float, series_tol: float = 1e-14) -> float:
+def von_neumann_series(eta, series_tol: float = 1e-14):
     """von Neumann entropy by its series ln 2 - sum eta^{2n}/(2n(2n-1)).
 
     Serves as the independent cross-check of :func:`von_neumann_entropy`.
@@ -100,40 +129,43 @@ def von_neumann_series(eta: float, series_tol: float = 1e-14) -> float:
     exact anyway, so that endpoint is refused.
     """
     eta = _check_eta(eta)
-    if eta >= 1.0:
+    if np.any(eta >= 1.0):
         raise DomainError("von_neumann_series: eta = 1 is out of domain, "
                           "use von_neumann_entropy")
-    return LN2 - _sum_series(eta, lambda n: 2 * n * (2 * n - 1), series_tol)
+    return _item(LN2 - _sum_series(eta, lambda n: 2 * n * (2 * n - 1), series_tol))
 
 
-def wehrl_entropy_series(eta: float, series_tol: float = 1e-14) -> float:
+def wehrl_entropy_series(eta, series_tol: float = 1e-14):
     """Atomic Wehrl entropy ln(4pi) - sum eta^{2n}/(2n(2n-1)(2n+1)).
 
     Terms fall off like n^-3, so the series converges on the whole closed
     interval [0, 1].
     """
     eta = _check_eta(eta)
-    return LN4PI - _sum_series(
-        eta, lambda n: 2 * n * (2 * n - 1) * (2 * n + 1), series_tol)
+    return _item(LN4PI - _sum_series(
+        eta, lambda n: 2 * n * (2 * n - 1) * (2 * n + 1), series_tol))
 
 
-def wehrl_entropy_closed(eta: float, series_tol: float = 1e-14) -> float:
+def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
     """Atomic Wehrl entropy in closed form.
 
     W(eta) = 1/2 + ln(4pi) - ln(1-eta^2)/2 + (eta + 1/eta)/4 * ln[(1-eta)/(1+eta)]
 
     The expression is singular at both ends of [0, 1]: near eta = 0 it
-    cancels catastrophically, so the call is delegated to the series; at
-    eta = 1 the analytic limit ln(2pi) + 1/2 is returned directly.
+    cancels catastrophically, so those points are delegated to the series;
+    at eta = 1 the analytic limit ln(2pi) + 1/2 is returned directly.
     """
     eta = _check_eta(eta)
-    if eta < _CLOSED_FORM_MIN_ETA:
-        return wehrl_entropy_series(eta, series_tol)
-    if 1.0 - eta < _CLOSED_FORM_MAX_ETA:
-        return WEHRL_MIN
-    return (0.5 + LN4PI
-            - 0.5 * math.log(1.0 - eta * eta)
-            + 0.25 * (eta + 1.0 / eta) * math.log((1.0 - eta) / (1.0 + eta)))
+    out = np.full(eta.shape, WEHRL_MIN)
+    small = eta < _CLOSED_FORM_MIN_ETA
+    if np.any(small):
+        out[small] = wehrl_entropy_series(eta[small], series_tol)
+    mid = ~small & (1.0 - eta >= _CLOSED_FORM_MAX_ETA)
+    e = eta[mid]
+    out[mid] = (0.5 + LN4PI
+                - 0.5 * np.log(1.0 - e * e)
+                + 0.25 * (e + 1.0 / e) * np.log((1.0 - e) / (1.0 + e)))
+    return _item(out)
 
 
 def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
@@ -147,9 +179,11 @@ def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     exact cancellation to its beta-function value and the remaining (n, r)
     terms, all positive, are accumulated in log space.
     """
+    from scipy.special import gammaln  # oracle-only: keeps scipy off the CLI import
+
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    eta = _check_eta(bloch.eta)
+    _check_eta(bloch.eta)
     u = bloch.sz * bloch.sz
     v = bloch.sx * bloch.sx + bloch.sy * bloch.sy
 
@@ -178,23 +212,27 @@ def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     return LN4PI - float(np.sum(np.exp(log_terms)))
 
 
-def normalized_entropies(gamma: float, wehrl: float) -> tuple[float, float]:
+def normalized_entropies(gamma, wehrl):
     """Rescaled measures: gamma/ln 2 and (ln(4pi) - W)/(ln 2 - 1/2).
 
     Exact constants are used; their popular roundings 0.693 and 0.19315
     would shift the endpoints off 0 and 1 by about 1e-4.
     """
-    return gamma / LN2, (LN4PI - wehrl) / WEHRL_SPAN
+    return _item(gamma / LN2), _item((LN4PI - wehrl) / WEHRL_SPAN)
 
 
-def entropy_record(t: float, eta: float, series_tol: float = 1e-14) -> EntropyRecord:
-    """Evaluate every measure (both Wehrl routes) at one time point."""
+def entropy_record(t, eta, series_tol: float = 1e-14) -> EntropyRecord:
+    """Evaluate every measure (both Wehrl routes) at one time point or a grid.
+
+    ``t`` is carried through as given; ``eta`` is a scalar or an array of
+    the same length, and every field of the record has its shape.
+    """
     eta = _check_eta(eta)
     gamma = von_neumann_entropy(eta)
     w_closed = wehrl_entropy_closed(eta, series_tol)
     w_series = wehrl_entropy_series(eta, series_tol)
     gamma_norm, wehrl_norm = normalized_entropies(gamma, w_closed)
     return EntropyRecord(
-        t=t, eta=eta, xi=linear_entropy(eta), gamma=gamma,
+        t=t, eta=_item(eta), xi=linear_entropy(eta), gamma=gamma,
         wehrl_closed=w_closed, wehrl_series=w_series,
         gamma_norm=gamma_norm, wehrl_norm=wehrl_norm)

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .dynamics import BlochVector
+from .entropies import _xlogx
 from .errors import DomainError
 
 FOUR_PI = 4.0 * math.pi
@@ -78,7 +78,7 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature) -> floa
     if np.min(q) < -1e-12:
         raise DomainError("negative Q density at a node: Bloch vector outside "
                           "the unit ball")
-    integrand = -xlogy(np.maximum(q, 0.0), np.maximum(q, 0.0))
+    integrand = -_xlogx(np.maximum(q, 0.0))
     return float(quad.mu_weights @ np.sum(integrand, axis=1)) * quad.phi_weight
 
 

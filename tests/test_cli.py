@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,3 +128,16 @@ class TestMain:
         assert main(self.ARGS + ["--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["t_steps"] == 10
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the oracle routes; importing it would cost the CLI
+    # most of its start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, jcm_entropy.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -214,6 +214,22 @@ class TestReducedDensity:
         amps = coherent_amplitudes(1.0, 0.0, 1e-12)
         with pytest.raises(DomainError):
             reduced_density(amps, float("nan"))
+        with pytest.raises(DomainError, match="T must be finite, got inf"):
+            reduced_density(amps, np.array([0.0, float("inf")]))
+
+    def test_time_array_matches_scalar_calls(self):
+        amps = coherent_amplitudes(7.0, 0.9, 1e-12)
+        T = np.linspace(0.0, 45.0, 37)
+        rho = reduced_density(amps, T)
+        b = bloch_vector(rho)
+        for i, t in enumerate(T.tolist()):
+            rho_t = reduced_density(amps, t)
+            assert type(rho_t.rho_ee) is float and type(rho_t.rho_eg) is complex
+            assert (rho.rho_ee[i], rho.rho_gg[i], rho.rho_eg[i]) == \
+                (rho_t.rho_ee, rho_t.rho_gg, rho_t.rho_eg)
+            b_t = bloch_vector(rho_t)
+            assert (b.sx[i], b.sy[i], b.sz[i], b.eta[i]) == \
+                (b_t.sx, b_t.sy, b_t.sz, b_t.eta)
 
 
 class TestBlochVector:

@@ -265,3 +265,80 @@ class TestNormalized:
         g_norm, w_norm = normalized_entropies(gamma, wehrl)
         assert g_norm == pytest.approx(gamma / LN2, abs=1e-15)
         assert w_norm == pytest.approx((LN4PI - wehrl) / (LN2 - 0.5), abs=1e-15)
+
+
+def loop_series(eta, denom, tol=1e-14):
+    """The series summed term by term in Python, with the library's stopping rule."""
+    q = eta * eta
+    power, acc = 1.0, 0.0
+    for n in range(1, 10 ** 6 + 1):
+        power *= q
+        term = power / denom(n)
+        acc += term
+        if term < max(tol * acc, 1e-300):
+            break
+    return acc
+
+
+class TestArrayPath:
+    """Each function on an array against the same function point by point."""
+
+    ETAS = [0.0, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0),
+            np.nextafter(1.0 - 1e-8, 0.0), 1.0 - 1e-8, np.nextafter(1.0 - 1e-8, 1.0),
+            1.0]
+    EXACT = (linear_entropy, von_neumann_series, wehrl_entropy_series)
+    ULP4 = (von_neumann_entropy, wehrl_entropy_closed)
+
+    @staticmethod
+    def per_point(f, etas):
+        values = [f(float(e)) for e in etas]
+        assert all(type(v) is float for v in values)
+        return np.array(values)
+
+    @pytest.mark.parametrize("f", EXACT + ULP4, ids=lambda f: f.__name__)
+    def test_matches_scalar_calls(self, f):
+        etas = [e for e in self.ETAS if f is not von_neumann_series or e < 1.0]
+        got = f(np.array(etas))
+        want = self.per_point(f, etas)
+        assert isinstance(got, np.ndarray) and got.shape == (len(etas),)
+        if f in self.EXACT:
+            assert np.array_equal(got, want)
+        else:
+            ulps = np.abs(got - want) / np.spacing(np.maximum(abs(got), abs(want)))
+            assert np.all(ulps <= 4)
+
+    def test_record_and_normalized(self):
+        etas = np.array(self.ETAS)
+        rec = entropy_record(etas, etas)
+        for i, eta in enumerate(self.ETAS):
+            point = entropy_record(float(eta), float(eta))
+            for name, value in vars(point).items():
+                assert type(value) is float
+                got = getattr(rec, name)[i]
+                assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value)))
+        g, w = normalized_entropies(rec.gamma, rec.wehrl_closed)
+        assert np.array_equal(g, rec.gamma_norm) and np.array_equal(w, rec.wehrl_norm)
+
+    def test_zero_d_array_gives_float(self):
+        assert type(wehrl_entropy_closed(np.float64(0.5))) is float
+        assert type(linear_entropy(np.array(0.5))) is float
+
+    def test_series_is_the_term_by_term_sum(self):
+        # bit for bit, including eta = 1 (about 4e4 terms) and points that
+        # stop in different blocks of the blockwise sum
+        rng = np.random.default_rng(5)
+        etas = np.concatenate([[0.0, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-8, 1.0],
+                               rng.uniform(0.0, 1.0, 40), 1.0 - rng.uniform(0, 1e-3, 5)])
+        w_denom = lambda n: 2 * n * (2 * n - 1) * (2 * n + 1)  # noqa: E731
+        want = [LN4PI - loop_series(float(e), w_denom) for e in etas]
+        assert np.array_equal(wehrl_entropy_series(etas), want)
+        inner = etas[etas < 1.0]
+        v_denom = lambda n: 2 * n * (2 * n - 1)  # noqa: E731
+        want = [LN2 - loop_series(float(e), v_denom) for e in inner]
+        assert np.array_equal(von_neumann_series(inner), want)
+
+    def test_first_offending_value_named(self):
+        with pytest.raises(DomainError, match=r"eta = 1\.5 outside"):
+            wehrl_entropy_closed(np.array([0.5, 1.5, -1.0]))
+        with pytest.raises(DomainError, match="eta must be finite, got nan"):
+            linear_entropy(np.array([0.5, np.nan]))

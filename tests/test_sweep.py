@@ -1,0 +1,158 @@
+"""run_sweep's array evaluation against the per-point composition of the
+library's functions, its error contract and its working memory."""
+
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from jcm_entropy import (
+    AtomicDensityMatrix,
+    DomainError,
+    FockAmplitudes,
+    SimulationConfig,
+    SweepRow,
+    SphereQuadrature,
+    bloch_vector,
+    coherent_amplitudes,
+    entropy_record,
+    reduced_density,
+    run_sweep,
+    wehrl_entropy_quadrature,
+)
+from jcm_entropy import dynamics
+from jcm_entropy.cli import main
+from jcm_entropy.sweep import BASE_COLUMNS, CHUNK_ELEMENTS, ORACLE_COLUMNS
+
+# columns that go through the same float operations in both orders
+EXACT = ("t", "sx", "sy", "sz", "eta", "xi", "wehrl_series")
+
+
+def pointwise_sweep(config, with_oracle=False):
+    """One grid point at a time, as the sweep was composed before it took arrays."""
+    amps = coherent_amplitudes(config.alpha_mag, config.alpha_phase,
+                               config.fock_tail_tol)
+    quad = SphereQuadrature(config.quad_theta_order, config.quad_phi_order)
+    columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
+    rows = []
+    for t in np.linspace(config.t_start, config.t_end, config.t_steps).tolist():
+        b = bloch_vector(reduced_density(amps, t))
+        rec = entropy_record(t, b.eta, config.series_tol)
+        values = {"sx": b.sx, "sy": b.sy, "sz": b.sz, **vars(rec)}
+        if with_oracle:
+            values["wehrl_quadrature"] = wehrl_entropy_quadrature(b, quad)
+        rows.append([values[name] for name in columns])
+    return {name: np.array(col) for name, col in zip(columns, zip(*rows))}
+
+
+def assert_matches_pointwise(config, with_oracle=False):
+    result = run_sweep(config, with_oracle=with_oracle)
+    expected = pointwise_sweep(config, with_oracle)
+    assert tuple(result.data) == result.columns == tuple(expected)
+    for name, want in expected.items():
+        got = result.data[name]
+        assert got.dtype == np.float64 and got.shape == (config.t_steps,)
+        if name in EXACT:
+            assert np.array_equal(got, want), name
+        else:
+            ulps = np.abs(got - want) / np.spacing(np.maximum(abs(got), abs(want)))
+            assert np.all(ulps <= 4), (name, float(ulps.max()))
+    return result
+
+
+class TestPointwiseParity:
+    def test_alpha30_partial_last_chunk(self):
+        chunk = CHUNK_ELEMENTS // coherent_amplitudes(30.0, 0.0, 1e-12).coefficients.size
+        config = SimulationConfig(alpha_mag=30.0, alpha_phase=0.4, t_start=3.0,
+                                  t_end=33.0, t_steps=100)
+        assert 1 < chunk < 100 and 100 % chunk
+        assert_matches_pointwise(config)
+
+    def test_single_point(self):
+        config = SimulationConfig(alpha_mag=2.0, t_start=1.5, t_end=1.5, t_steps=1)
+        result = assert_matches_pointwise(config)
+        assert result.rows[0].t == 1.5
+
+    def test_with_oracle(self):
+        config = SimulationConfig(alpha_mag=3.0, alpha_phase=-1.0, t_end=20.0,
+                                  t_steps=7, quad_theta_order=16, quad_phi_order=32)
+        assert_matches_pointwise(config, with_oracle=True)
+
+
+class TestColumnarResult:
+    def test_oracle_columns_insert_quadrature_after_series(self):
+        assert ORACLE_COLUMNS == ("t", "sx", "sy", "sz", "eta", "xi", "gamma",
+                                  "wehrl_closed", "wehrl_series", "wehrl_quadrature",
+                                  "gamma_norm", "wehrl_norm")
+
+    def test_rows_view(self):
+        result = run_sweep(SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=9))
+        rows = result.rows
+        assert rows is result.rows  # built once
+        assert len(rows) == 9 and all(isinstance(r, SweepRow) for r in rows)
+        for i, row in enumerate(rows):
+            assert row.wehrl_quadrature is None
+            for name in BASE_COLUMNS:
+                value = getattr(row, name)
+                assert type(value) is float and value == result.data[name][i]
+
+
+class TestErrorContract:
+    T_START = 0.25
+
+    @pytest.fixture
+    def norm_defect(self, monkeypatch):
+        """Amplitudes with norm 1.001^2: every grid point breaks the trace."""
+        def scaled(alpha_mag, alpha_phase, fock_tail_tol):
+            amps = coherent_amplitudes(alpha_mag, alpha_phase, fock_tail_tol)
+            return FockAmplitudes(amps.coefficients * 1.001, amps.n_max)
+        monkeypatch.setattr(dynamics, "coherent_amplitudes", scaled)
+
+    def test_names_first_grid_point(self, norm_defect):
+        config = SimulationConfig(alpha_mag=2.0, t_start=self.T_START, t_end=5.0,
+                                  t_steps=500)
+        with pytest.raises(DomainError, match=r"^at T = 0\.25: trace violation"):
+            run_sweep(config)
+
+    def test_cli_exits_1(self, norm_defect, capsys):
+        args = ["--alpha-mag", "2", "--t-start", str(self.T_START), "--t-end", "5",
+                "--t-steps", "500"]
+        assert main(args) == 1
+        assert "at T = 0.25: trace violation" in capsys.readouterr().err
+
+    def test_names_first_failing_point_inside_a_later_chunk(self, monkeypatch):
+        real = dynamics.reduced_density
+
+        def leaky(amps, T):
+            rho = real(amps, T)
+            # the trace breaks from T = 2 on only
+            excess = np.where(np.asarray(T) >= 2.0, 1e-9, 0.0)
+            return AtomicDensityMatrix(rho.rho_ee + excess, rho.rho_gg, rho.rho_eg)
+
+        monkeypatch.setattr(dynamics, "reduced_density", leaky)
+        config = SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=501)
+        t = np.linspace(0.0, 5.0, 501)
+        index = np.flatnonzero(t >= 2.0)[0]
+        step = CHUNK_ELEMENTS // coherent_amplitudes(2.0, 0.0, 1e-12).coefficients.size
+        assert index > step and index % step  # inside a chunk, not the first one
+        message = f"at T = {t[index].item()!r}: trace violation"
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run_sweep(config)
+
+
+@pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000)])
+def test_working_memory_is_bounded(alpha_mag, t_steps):
+    # peak traced memory less the float64 columns the result must hold:
+    # 0.46 and 0.54 MiB when chunked; a sweep holding one object per row
+    # peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its 1.3 MiB of values
+    config = SimulationConfig(alpha_mag=alpha_mag, t_end=30.0, t_steps=t_steps)
+    tracemalloc.start()
+    try:
+        result = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = sum(column.nbytes for column in result.data.values())
+    assert payload == len(BASE_COLUMNS) * 8 * t_steps
+    assert peak - payload <= 2 * 2 ** 20

@@ -168,6 +168,12 @@ def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
     return _item(out)
 
 
+def _gammaln(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise by ``math.lgamma``, once per distinct argument."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[inverse]
+
+
 def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     """Atomic Wehrl entropy from the raw sum over Bloch-vector components.
 
@@ -179,8 +185,6 @@ def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     exact cancellation to its beta-function value and the remaining (n, r)
     terms, all positive, are accumulated in log space.
     """
-    from scipy.special import gammaln  # oracle-only: keeps scipy off the CLI import
-
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     _check_eta(bloch.eta)
@@ -200,10 +204,10 @@ def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     else:
         pow_v = np.where(r > 0, -np.inf, 0.0)
 
-    log_terms = (gammaln(2 * n + 1) + gammaln(n - r + 0.5) + pow_u + pow_v
+    log_terms = (_gammaln(2 * n + 1) + _gammaln(n - r + 0.5) + pow_u + pow_v
                  - np.log(2.0 * n * (2.0 * n - 1.0))
-                 - gammaln(2 * (n - r) + 1) - gammaln(r + 1.0)
-                 - r * math.log(4.0) - math.log(2.0) - gammaln(n + 1.5))
+                 - _gammaln(2 * (n - r) + 1) - _gammaln(r + 1.0)
+                 - r * math.log(4.0) - math.log(2.0) - _gammaln(n + 1.5))
 
     if np.any(log_terms > math.log(_TERM_MAGNITUDE_LIMIT)):
         raise PrecisionLossError(

@@ -19,13 +19,6 @@ _AFTER_SERIES = BASE_COLUMNS.index("wehrl_series") + 1
 ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
 
-# Rabi phases per dynamics chunk: the sweep's working memory does not grow
-# with the grid length or the Fock basis size.  At 2^13 phases a chunk's
-# buffers (about 32 bytes per phase) outgrow glibc malloc's 128 KiB trim
-# threshold: memory went back to the kernel after each chunk, and a
-# |alpha| = 30 CLI run of 4000 points took 48,500 minor page faults, not 5,900.
-CHUNK_ELEMENTS = 2 ** 12
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -92,11 +85,10 @@ def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
 
-    The Fock amplitudes are built once.  The Bloch vector is then computed
-    for a chunk of times at a time (``CHUNK_ELEMENTS`` phases each), the
-    entropies for the whole eta column at once, and, when ``with_oracle`` is
-    set, the slow spherical quadrature point by point.  A DomainError names
-    the first grid point at which the failing stage fails.
+    The Fock amplitudes are built once.  The Bloch vector and the entropies
+    are then computed for the whole grid at once, and, when ``with_oracle``
+    is set, the slow spherical quadrature point by point.  A DomainError
+    names the first grid point at which the failing stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -106,14 +98,9 @@ def run_sweep(config: dynamics.SimulationConfig,
                                        config.quad_phi_order)
 
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
-    bloch = {name: np.empty(t.size) for name in ("sx", "sy", "sz", "eta")}
-    step = max(1, CHUNK_ELEMENTS // amps.coefficients.size)
-    for start in range(0, t.size, step):
-        part = t[start:start + step]
-        b = _on_grid(part, lambda T: dynamics.bloch_vector(
-            dynamics.reduced_density(amps, T)), part)
-        for name, column in bloch.items():
-            column[start:start + step] = getattr(b, name)
+    b = _on_grid(t, lambda T: dynamics.bloch_vector(
+        dynamics.reduced_density(amps, T)), t)
+    bloch = {name: getattr(b, name) for name in ("sx", "sy", "sz", "eta")}
 
     record = _on_grid(t, lambda T, eta: entropies.entropy_record(
         T, eta, config.series_tol), t, bloch["eta"])
@@ -139,12 +126,20 @@ def _render_csv(result: SweepResult) -> str:
 
 
 def _render_structured(result: SweepResult) -> str:
-    payload = {
-        "config": asdict(result.config),
-        "columns": list(result.columns),
-        "rows": [list(row) for row in _row_values(result)],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"`` for the payload of config,
+    columns and rows, byte for byte.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
+    rows, the bulk of the text, go through the C encoder in one call
+    (``[[a, b], [c, d]]``), and its separators are then re-indented.  A
+    float's text holds no ``,`` or ``]``, and a sweep has at least one row.
+    """
+    head = json.dumps({"config": asdict(result.config),
+                       "columns": list(result.columns)}, indent=2)
+    rows = json.dumps(list(_row_values(result)))
+    rows = rows[2:-2].replace(", ", ",\n      ").replace(
+        "],\n      [", "\n    ],\n    [\n      ")
+    return head[:-2] + ',\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]\n}\n"
 
 
 def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> None:

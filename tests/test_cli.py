@@ -124,6 +124,19 @@ class TestMain:
         assert main(self.ARGS) == 1
         assert "synthetic violation" in capsys.readouterr().err
 
+    def test_phase_overflow_exits_1(self, capsys):
+        # T * sqrt(n+1) overflows at T = 5e307: refused, not passed on as NaN
+        assert main(["--alpha-mag", "2", "--t-end", "1e308", "--t-steps", "3"]) == 1
+        assert ("at T = 5e+307: Rabi phase T*sqrt(n+1) overflows"
+                in capsys.readouterr().err)
+
+    def test_large_alpha(self, tmp_path):
+        # |alpha| >= 39 underflowed exp(-|alpha|^2/2) in the old recurrence
+        out = tmp_path / "a45.csv"
+        assert main(["--alpha-mag", "45", "--t-end", "300", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3001 and lines[1].startswith("0,0,0,1,1,0,")
+
     def test_structured_format_flag(self, capsys):
         assert main(self.ARGS + ["--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -131,12 +144,14 @@ class TestMain:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the oracle routes; importing it would cost the CLI
-    # most of its start-up time
+    # scipy is a test-only dependency: importing it would cost the CLI most
+    # of its start-up time, and no library route needs it, the triple sum
+    # included
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, jcm_entropy.cli; "
+    code = ("import sys, jcm_entropy as j, jcm_entropy.cli; "
+            "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -1,6 +1,8 @@
 import cmath
 import math
+import types
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -126,7 +128,51 @@ class TestJointEvolutionOracle:
             assert xi < 0.49
 
 
+def mp_poisson(alpha_mag, n):
+    """p_n = exp(-|alpha|^2) |alpha|^(2n) / n! in mpmath at the working precision."""
+    a2 = mpmath.mpf(alpha_mag) ** 2
+    return mpmath.exp(n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1))
+
+
 class TestCoherentAmplitudes:
+    @pytest.mark.parametrize("alpha_mag,theta", [(7.0, 6.2), (30.0, 6.2),
+                                                 (38.0, 0.4), (60.0, 6.2)])
+    def test_populations_and_coherences_against_mpmath(self, alpha_mag, theta):
+        # the kernel's inputs p_n = |C_n|^2 and q_n = |C_{n+1}||C_n| e^{i theta}
+        amps = coherent_amplitudes(alpha_mag, theta, 1e-12)
+        w = amps.weights
+        p = w * w
+        q = (w[1:] * w[:-1]) * cmath.exp(1j * theta)
+        with mpmath.workdps(50):
+            p_ref = [mp_poisson(alpha_mag, n) for n in range(amps.n_min, amps.n_max + 1)]
+            phase = mpmath.expj(theta)
+            p_err = max(abs(mpmath.mpf(x) - y) for x, y in zip(p.tolist(), p_ref))
+            q_err = max(abs(mpmath.mpc(x) - mpmath.sqrt(y0 * y1) * phase)
+                        for x, y0, y1 in zip(q.tolist(), p_ref, p_ref[1:]))
+        assert p_err < 1e-16 and q_err < 1e-16
+
+    def test_window_alpha30(self):
+        amps = coherent_amplitudes(30.0, 0.0, 1e-12)
+        # floor(900 - 300 - 20) .. ceil(900 + 300 + 20)
+        assert (amps.n_min, amps.n_max, amps.weights.size) == (580, 1220, 641)
+        assert amps.coefficients.size == 641
+
+    @pytest.mark.parametrize("alpha_mag,tol", [(0.3, 1e-12), (0.3, 1e-300), (7.0, 1e-12),
+                                               (30.0, 1e-12), (30.0, 1e-40), (12.0, 1e-200)])
+    def test_stated_tail_mass(self, alpha_mag, tol):
+        amps = coherent_amplitudes(alpha_mag, 0.0, tol)
+        assert 0.0 < amps.tail_mass <= tol
+        assert amps.n_max >= math.ceil(alpha_mag ** 2 + 10 * alpha_mag + 20)
+        assert amps.n_min <= max(0, math.floor(alpha_mag ** 2 - 10 * alpha_mag - 20))
+        with mpmath.workdps(50):
+            dropped = mpmath.fsum(mp_poisson(alpha_mag, n) for n in range(amps.n_min))
+            n, term = amps.n_max + 1, mpmath.mpf(1)
+            while term > tol * 1e-20:
+                term = mp_poisson(alpha_mag, n)
+                dropped += term
+                n += 1
+        assert dropped <= amps.tail_mass
+
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)
         assert amps.n_max == 0
@@ -210,6 +256,24 @@ class TestReducedDensity:
             assert abs(a.rho_ee - b.rho_ee) < 1e-8
             assert abs(a.rho_eg - b.rho_eg) < 1e-8
 
+    @pytest.mark.parametrize("T", [0.5, 3.0, 45.0 * math.pi, 90.0 * math.pi])
+    def test_alpha45_against_brute_force(self, T):
+        # the window 1555..2495 against the full basis 0..n_max
+        amps = coherent_amplitudes(45.0, 0.7, 1e-12)
+        assert amps.n_min > 0
+        ree, rgg, reg = brute_force_density(45.0, 0.7, T, amps.n_max)
+        rho = reduced_density(amps, T)
+        assert abs(rho.rho_ee - ree) < 1e-12
+        assert abs(rho.rho_gg - rgg) < 1e-12
+        assert abs(rho.rho_eg - reg) < 1e-12
+
+    def test_rejects_phase_overflow(self):
+        # T * sqrt(n_max + 1) is inf: cos and sin would give NaN
+        amps = coherent_amplitudes(2.0, 0.0, 1e-12)
+        with pytest.raises(DomainError, match=r"Rabi phase T\*sqrt\(n\+1\) overflows "
+                                              r"for T = 5e\+307, n = 44"):
+            reduced_density(amps, np.array([0.0, 5e307, 1e308]))
+
     def test_rejects_nonfinite_time(self):
         amps = coherent_amplitudes(1.0, 0.0, 1e-12)
         with pytest.raises(DomainError):
@@ -276,6 +340,14 @@ class TestBlochVector:
             AtomicDensityMatrix(0.9, 0.1, 0.5 + 0j)  # positivity broken
         with pytest.raises(DomainError):
             AtomicDensityMatrix(0.9, 0.2, 0j)  # trace broken
+        nan = float("nan")
+        with pytest.raises(DomainError, match="trace violation"):
+            AtomicDensityMatrix(nan, 0.5, 0j)
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            AtomicDensityMatrix(0.5, 0.5, complex(nan, 0.0))
+        with pytest.raises(DomainError, match="Bloch radius nan"):
+            bloch_vector(types.SimpleNamespace(rho_ee=0.5, rho_gg=0.5,
+                                               rho_eg=complex(nan, 0.0)))
 
 
 class TestSimulationConfig:

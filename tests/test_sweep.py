@@ -1,6 +1,8 @@
 """run_sweep's array evaluation against the per-point composition of the
 library's functions, its error contract and its working memory."""
 
+import dataclasses
+import json
 import re
 import tracemalloc
 
@@ -10,12 +12,13 @@ import pytest
 from jcm_entropy import (
     AtomicDensityMatrix,
     DomainError,
-    FockAmplitudes,
     SimulationConfig,
+    SweepResult,
     SweepRow,
     SphereQuadrature,
     bloch_vector,
     coherent_amplitudes,
+    emit,
     entropy_record,
     reduced_density,
     run_sweep,
@@ -23,7 +26,8 @@ from jcm_entropy import (
 )
 from jcm_entropy import dynamics
 from jcm_entropy.cli import main
-from jcm_entropy.sweep import BASE_COLUMNS, CHUNK_ELEMENTS, ORACLE_COLUMNS
+from jcm_entropy.dynamics import CHUNK_ELEMENTS
+from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 
 # columns that go through the same float operations in both orders
 EXACT = ("t", "sx", "sy", "sz", "eta", "xi", "wehrl_series")
@@ -97,6 +101,30 @@ class TestColumnarResult:
                 value = getattr(row, name)
                 assert type(value) is float and value == result.data[name][i]
 
+    def test_one_kernel_call_per_sweep(self, monkeypatch):
+        calls = []
+        real = dynamics.reduced_density
+        monkeypatch.setattr(dynamics, "reduced_density",
+                            lambda amps, T: calls.append(np.size(T)) or real(amps, T))
+        run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
+        assert calls == [100]
+
+    def test_structured_bytes_match_json_dumps(self, capsys):
+        # the row text comes from the C encoder, re-indented
+        config = SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=3)
+        special = [-0.0, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1, 1e300]
+        data = {name: np.array([special[(i + k) % len(special)] for k in range(3)])
+                for i, name in enumerate(BASE_COLUMNS)}
+        result = SweepResult(config=config, with_oracle=False, data=data)
+        payload = {"config": dataclasses.asdict(config), "columns": list(BASE_COLUMNS),
+                   "rows": [[float(data[name][k]) for name in BASE_COLUMNS]
+                            for k in range(3)]}
+        expected = json.dumps(payload, indent=2) + "\n"
+        for value in ("-0.0", "5e-324", "NaN", "Infinity", "-Infinity"):
+            assert value in expected
+        emit(result, format="structured")
+        assert capsys.readouterr().out == expected
+
 
 class TestErrorContract:
     T_START = 0.25
@@ -106,7 +134,7 @@ class TestErrorContract:
         """Amplitudes with norm 1.001^2: every grid point breaks the trace."""
         def scaled(alpha_mag, alpha_phase, fock_tail_tol):
             amps = coherent_amplitudes(alpha_mag, alpha_phase, fock_tail_tol)
-            return FockAmplitudes(amps.coefficients * 1.001, amps.n_max)
+            return dataclasses.replace(amps, weights=amps.weights * 1.001)
         monkeypatch.setattr(dynamics, "coherent_amplitudes", scaled)
 
     def test_names_first_grid_point(self, norm_defect):

@@ -29,7 +29,7 @@ WEHRL_SPAN = LN2 - 0.5                           # ln(4pi) - WEHRL_MIN
 
 _ETA_TOL = 1e-9
 _CLOSED_FORM_MIN_ETA = 1e-3   # below this the closed form cancels badly
-_CLOSED_FORM_MAX_ETA = 1e-8   # 1 - eta below this: use the analytic limit
+_CANCELLING_ETA = 0.99        # above this 1 - eta*eta cancels
 _MAX_TERMS = 10 ** 6
 _BLOCK_ELEMENTS = 2 ** 13   # series terms held at once
 _FIRST_BLOCK = 8            # terms per point in a batch's first block
@@ -153,17 +153,22 @@ def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
 
     The expression is singular at both ends of [0, 1]: near eta = 0 it
     cancels catastrophically, so those points are delegated to the series;
-    at eta = 1 the analytic limit ln(2pi) + 1/2 is returned directly.
+    at eta = 1 exactly the analytic limit ln(2pi) + 1/2 is returned.  Near
+    eta = 1, 1 - eta*eta cancels, so above eta = 0.99 1 - eta^2 is taken
+    as (1 - eta)(1 + eta), whose factor 1 - eta is exact there; up to 0.99,
+    1 - eta*eta is good to 6e-15 relative and is used as it is.  The error
+    stays within a few 1e-15 up to eta = 1.
     """
     eta = _check_eta(eta)
     out = np.full(eta.shape, WEHRL_MIN)
     small = eta < _CLOSED_FORM_MIN_ETA
     if np.any(small):
         out[small] = wehrl_entropy_series(eta[small], series_tol)
-    mid = ~small & (1.0 - eta >= _CLOSED_FORM_MAX_ETA)
+    mid = ~small & (eta < 1.0)
     e = eta[mid]
     out[mid] = (0.5 + LN4PI
-                - 0.5 * np.log(1.0 - e * e)
+                - 0.5 * np.log(np.where(e <= _CANCELLING_ETA, 1.0 - e * e,
+                                        (1.0 - e) * (1.0 + e)))
                 + 0.25 * (e + 1.0 / e) * np.log((1.0 - e) / (1.0 + e)))
     return _item(out)
 

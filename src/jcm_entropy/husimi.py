@@ -9,6 +9,16 @@ form or the series, which is what makes it a usable oracle.
 
 Quadrature: Gauss-Legendre in mu = cos(theta) (absorbing the sin(theta)
 measure) tensored with a uniform periodic rule in phi.
+
+``wehrl_entropy_quadrature`` and ``q_normalization`` take a Bloch vector
+with scalar or 1-D array fields.  Points are taken ``QUAD_ELEMENTS`` nodes
+at a time (4 points at 64x128), into two buffers allocated once per call,
+and each point's value is that of a scalar call, bit for bit.  The node
+geometry (sin theta, cos phi, sin phi) is built once per
+:class:`SphereQuadrature`, but the oracle stays independent of the other
+routes: Q is evaluated from (sx, sy, sz) at every node for every point,
+with no use of rotational symmetry, of eta, or of the closed form or the
+series.
 """
 
 from __future__ import annotations
@@ -18,11 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector
+from .dynamics import BlochVector, _item
 from .entropies import _xlogx
 from .errors import DomainError
 
 FOUR_PI = 4.0 * math.pi
+Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
+
+# Quadrature nodes per block of points.  The two block buffers (16 bytes a
+# node, 512 KiB) are allocated once per call; a point whose nodes exceed this
+# is still taken whole.
+QUAD_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -33,6 +49,9 @@ class SphereQuadrature:
     mu_weights: np.ndarray = field(init=False, repr=False)
     phi_nodes: np.ndarray = field(init=False, repr=False)
     phi_weight: float = field(init=False, repr=False)
+    sin_theta_4pi: np.ndarray = field(init=False, repr=False)  # sin(theta_i)/(4 pi)
+    cos_phi: np.ndarray = field(init=False, repr=False)
+    sin_phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.theta_order < 2:
@@ -40,11 +59,12 @@ class SphereQuadrature:
         if self.phi_order < 4:
             raise DomainError("phi_order must be >= 4")
         mu, w = np.polynomial.legendre.leggauss(self.theta_order)
-        object.__setattr__(self, "mu_nodes", mu)
-        object.__setattr__(self, "mu_weights", w)
-        object.__setattr__(self, "phi_nodes",
-                           2.0 * math.pi * np.arange(self.phi_order) / self.phi_order)
-        object.__setattr__(self, "phi_weight", 2.0 * math.pi / self.phi_order)
+        phi = 2.0 * math.pi * np.arange(self.phi_order) / self.phi_order
+        for name, value in (("mu_nodes", mu), ("mu_weights", w), ("phi_nodes", phi),
+                            ("phi_weight", 2.0 * math.pi / self.phi_order),
+                            ("sin_theta_4pi", np.sqrt(1.0 - mu ** 2) / FOUR_PI),
+                            ("cos_phi", np.cos(phi)), ("sin_phi", np.sin(phi))):
+            object.__setattr__(self, name, value)
 
     @property
     def total_weight(self) -> float:
@@ -63,29 +83,62 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
     return (1.0 + beta) / FOUR_PI
 
 
-def _q_on_nodes(bloch: BlochVector, quad: SphereQuadrature) -> np.ndarray:
-    mu = quad.mu_nodes[:, None]
-    sin_theta = np.sqrt(1.0 - quad.mu_nodes ** 2)[:, None]
-    phi = quad.phi_nodes[None, :]
-    beta = (bloch.sz * mu
-            + (bloch.sx * np.cos(phi) + bloch.sy * np.sin(phi)) * sin_theta)
-    return (1.0 + beta) / FOUR_PI
+def _integrate(bloch: BlochVector, quad: SphereQuadrature, integrand):
+    """The quadrature sum of ``integrand(Q, work)`` over the sphere, per point.
+
+    Q at node (theta_i, phi_j) is built as
+    (sx cos phi_j + sy sin phi_j) sin(theta_i)/(4 pi) + (sz mu_i + 1)/(4 pi),
+    a block of points at a time in a (points, theta, phi) buffer;
+    ``integrand`` returns Q itself or ``work`` filled from it.
+    """
+    sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                       for c in (bloch.sx, bloch.sy, bloch.sz)))
+    shape = sz.shape
+    sx, sy, sz = (c.reshape(-1) for c in (sx, sy, sz))
+    weights = quad.mu_weights * quad.phi_weight
+    out = np.empty(sz.size)
+    rows = max(1, min(sz.size, QUAD_ELEMENTS // (quad.theta_order * quad.phi_order)))
+    q, work = (np.empty((rows, quad.theta_order, quad.phi_order)) for _ in range(2))
+    for lo in range(0, sz.size, rows):
+        hi = min(lo + rows, sz.size)
+        qk, wk = q[:hi - lo], work[:hi - lo]
+        ring = (np.multiply.outer(sx[lo:hi], quad.cos_phi)
+                + np.multiply.outer(sy[lo:hi], quad.sin_phi))
+        np.multiply(ring[:, None, :], quad.sin_theta_4pi[:, None], out=qk)
+        qk += ((np.multiply.outer(sz[lo:hi], quad.mu_nodes) + 1.0) / FOUR_PI)[:, :, None]
+        per_theta = np.add.reduce(integrand(qk, wk), axis=-1)
+        per_theta *= weights
+        np.add.reduce(per_theta, axis=-1, out=out[lo:hi])
+    return out.reshape(shape)
 
 
-def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature) -> float:
-    """Wehrl entropy -integral Q ln Q by direct spherical quadrature."""
-    q = _q_on_nodes(bloch, quad)
-    if np.min(q) < -1e-12:
-        raise DomainError("negative Q density at a node: Bloch vector outside "
-                          "the unit ball")
-    integrand = -_xlogx(np.maximum(q, 0.0))
-    return float(quad.mu_weights @ np.sum(integrand, axis=1)) * quad.phi_weight
+def _q_log_q(q: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Q ln Q into ``work``; a block with a node at or below 0 is checked
+    against Q_FLOOR, clamped and given 0 ln 0 = 0."""
+    low = q.min()
+    if low > 0.0:
+        np.log(q, out=work)
+        work *= q
+    else:
+        if low < Q_FLOOR:
+            raise DomainError("negative Q density at a node: Bloch vector outside "
+                              "the unit ball")
+        work[...] = _xlogx(np.maximum(q, 0.0))
+    return work
 
 
-def q_normalization(bloch: BlochVector, quad: SphereQuadrature) -> float:
-    """Quadrature integral of Q over the sphere; should be 1."""
-    q = _q_on_nodes(bloch, quad)
-    return float(quad.mu_weights @ np.sum(q, axis=1)) * quad.phi_weight
+def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
+    """Wehrl entropy -integral Q ln Q by direct spherical quadrature.
+
+    The Bloch components are scalars or equal-length 1-D arrays; a scalar
+    Bloch vector gives a Python float.
+    """
+    return _item(-_integrate(bloch, quad, _q_log_q))
+
+
+def q_normalization(bloch: BlochVector, quad: SphereQuadrature):
+    """Quadrature integral of Q over the sphere, per point; should be 1."""
+    return _item(_integrate(bloch, quad, lambda q, work: q))
 
 
 def trig_power_integral(c1: float, c2: float, k: int) -> float:

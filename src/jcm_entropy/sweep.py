@@ -6,7 +6,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -62,33 +62,39 @@ def _on_grid(t: np.ndarray, fn, *columns):
     """``fn(*columns)`` for the grid points ``t``; a DomainError names the
     first failing T, as ``at T = <t>: ...``.
 
-    On failure ``fn`` is run again one point at a time to find that point.
+    On failure the failing point is found by halving: ``fn`` runs on the
+    first half of the range that holds it, which holds it if that run
+    fails, and the second half if not; the point is then run alone for its
+    message.  If it passes alone, the original error is raised.
     """
     try:
         return fn(*columns)
-    except DomainError:
-        for i, ti in enumerate(t.tolist()):
-            try:
-                fn(*(col[i:i + 1] for col in columns))
-            except DomainError as exc:
-                raise DomainError(f"at T = {ti!r}: {exc}") from exc
-        raise
-
-
-def _quadrature(quad: husimi.SphereQuadrature, *components) -> np.ndarray:
-    """The oracle Wehrl entropy point by point; components in BlochVector order."""
-    return np.array([husimi.wehrl_entropy_quadrature(dynamics.BlochVector(*b), quad)
-                     for b in zip(*(c.tolist() for c in components))])
+    except DomainError as exc:
+        error = exc
+    lo, hi = 0, t.size  # the first failing point lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            fn(*(col[lo:mid] for col in columns))
+        except DomainError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        fn(*(col[lo:hi] for col in columns))
+    except DomainError as exc:
+        raise DomainError(f"at T = {t[lo].item()!r}: {exc}") from exc
+    raise error
 
 
 def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
 
-    The Fock amplitudes are built once.  The Bloch vector and the entropies
-    are then computed for the whole grid at once, and, when ``with_oracle``
-    is set, the slow spherical quadrature point by point.  A DomainError
-    names the first grid point at which the failing stage fails.
+    The Fock amplitudes are built once.  The Bloch vector, the entropies
+    and, when ``with_oracle`` is set, the slow spherical quadrature are then
+    each computed for the whole grid at once.  A DomainError names the
+    first grid point at which the failing stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -106,8 +112,8 @@ def run_sweep(config: dynamics.SimulationConfig,
         T, eta, config.series_tol), t, bloch["eta"])
     data = {**bloch, **vars(record)}
     if quad is not None:
-        data["wehrl_quadrature"] = _on_grid(t, partial(_quadrature, quad),
-                                            *bloch.values())
+        data["wehrl_quadrature"] = _on_grid(t, lambda *b: husimi.wehrl_entropy_quadrature(
+            dynamics.BlochVector(*b), quad), *bloch.values())
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     return SweepResult(config=config, with_oracle=with_oracle,
                        data={name: data[name] for name in columns})

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,18 @@ class TestWehrl:
             assert abs(von_neumann_entropy(eta)
                        - von_neumann_series(eta)) < 1e-10
         assert abs(wehrl_entropy_closed(1.0) - wehrl_entropy_series(1.0)) < 1e-10
+
+    def test_closed_form_near_one_against_mpmath(self):
+        # 1 - eta*eta cancels here; the old snap to WEHRL_MIN below
+        # 1 - eta = 1e-8 was off by up to 4.8e-9
+        eta = 1.0 - np.logspace(-15, math.log10(0.3), 200)
+        got = wehrl_entropy_closed(eta)
+        with mpmath.workdps(50):
+            for e, w in zip(eta.tolist(), got.tolist()):
+                e = mpmath.mpf(e)
+                ref = (0.5 + mpmath.log(4 * mpmath.pi) - mpmath.log(1 - e * e) / 2
+                       + (e + 1 / e) / 4 * mpmath.log((1 - e) / (1 + e)))
+                assert abs(w - ref) <= 1e-14, float(1 - e)
 
     def test_switchover_region_is_smooth(self):
         # tiny eta goes through the series; just above, the closed form

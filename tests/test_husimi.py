@@ -13,6 +13,9 @@ from jcm_entropy import (
     wehrl_entropy_closed,
     wehrl_entropy_quadrature,
 )
+from jcm_entropy import husimi
+from jcm_entropy.entropies import _xlogx
+from jcm_entropy.husimi import QUAD_ELEMENTS
 
 FOUR_PI = 4.0 * math.pi
 
@@ -130,6 +133,70 @@ class TestWehrlQuadrature:
         with pytest.raises(DomainError):
             wehrl_entropy_quadrature(BlochVector(0, 0, 1.5, 1.5),
                                      SphereQuadrature(16, 16))
+
+
+def masked_quadrature(b, quad):
+    """The oracle node by node as a formula: Q = (1 + beta)/(4 pi), then
+    -sum w Q ln Q with Q clamped at 0 and 0 ln 0 = 0."""
+    mu = quad.mu_nodes[:, None]
+    phi = quad.phi_nodes[None, :]
+    beta = b.sz * mu + (b.sx * np.cos(phi) + b.sy * np.sin(phi)) * np.sqrt(1.0 - mu ** 2)
+    q = np.maximum((1.0 + beta) / FOUR_PI, 0.0)
+    return float(quad.mu_weights @ np.sum(-_xlogx(q), axis=1)) * quad.phi_weight
+
+
+def random_components(count, seed, max_radius=1.0):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(3, count))
+    return v * rng.uniform(0.0, max_radius, count) / np.linalg.norm(v, axis=0)
+
+
+class TestArrayQuadrature:
+    @pytest.mark.parametrize("orders,count", [((64, 128), 11), ((16, 32), 150)])
+    def test_array_matches_scalar_calls_bit_for_bit(self, orders, count):
+        quad = SphereQuadrature(*orders)
+        rows = QUAD_ELEMENTS // (orders[0] * orders[1])
+        assert 1 < rows < count and count % rows  # several blocks, a partial last
+        sx, sy, sz = random_components(count, seed=5)
+        sx[0], sy[0], sz[0] = 0.0, 0.0, 1.0
+        arrays = BlochVector(sx, sy, sz, np.sqrt(sx * sx + sy * sy + sz * sz))
+        for f in (wehrl_entropy_quadrature, q_normalization):
+            got = f(arrays, quad)
+            assert got.dtype == np.float64 and got.shape == (count,)
+            for i in range(count):
+                one = f(bloch(sx[i].item(), sy[i].item(), sz[i].item()), quad)
+                assert type(one) is float and one == got[i], (f.__name__, i)
+
+    def test_matches_node_formula(self):
+        quad = SphereQuadrature(32, 64)
+        for b in map(lambda v: bloch(*v), random_components(20, seed=8).T.tolist()):
+            want = masked_quadrature(b, quad)
+            assert abs(wehrl_entropy_quadrature(b, quad) - want) <= 4 * np.spacing(want)
+
+    def test_unit_vector_antipodal_to_a_node(self, monkeypatch):
+        # Q is 0 at that node up to rounding, so some of these blocks take
+        # the clamped, masked Q ln Q
+        masked = []
+        monkeypatch.setattr(husimi, "_xlogx", lambda x: masked.append(1) or _xlogx(x))
+        quad = SphereQuadrature(64, 128)
+        for i in range(0, 64, 3):
+            mu = quad.mu_nodes[i].item()
+            for j in (0, 32, 45):
+                s = math.sqrt(1.0 - mu * mu)
+                phi = quad.phi_nodes[j].item()
+                b = BlochVector(-s * math.cos(phi), -s * math.sin(phi), -mu, 1.0)
+                got = wehrl_entropy_quadrature(b, quad)
+                want = masked_quadrature(b, quad)
+                assert math.isfinite(got)
+                assert abs(got - want) <= 4 * np.spacing(want), (i, j)
+        assert masked
+
+    def test_negative_q_named_in_a_later_block(self):
+        quad = SphereQuadrature(64, 128)
+        sx, sy, sz = random_components(10, seed=2, max_radius=0.9)
+        sz[6] = 1.5
+        with pytest.raises(DomainError, match="negative Q density"):
+            wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
 
 
 class TestTrigPowerIntegral:

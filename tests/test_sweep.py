@@ -3,6 +3,7 @@ library's functions, its error contract and its working memory."""
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 
@@ -24,10 +25,11 @@ from jcm_entropy import (
     run_sweep,
     wehrl_entropy_quadrature,
 )
-from jcm_entropy import dynamics
+from jcm_entropy import dynamics, husimi
 from jcm_entropy.cli import main
 from jcm_entropy.dynamics import CHUNK_ELEMENTS
-from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
+from jcm_entropy.husimi import QUAD_ELEMENTS
+from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS, _on_grid
 
 # columns that go through the same float operations in both orders
 EXACT = ("t", "sx", "sy", "sz", "eta", "xi", "wehrl_series")
@@ -109,6 +111,25 @@ class TestColumnarResult:
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
 
+    def test_one_quadrature_call_per_sweep(self, monkeypatch):
+        calls = []
+        real = husimi.wehrl_entropy_quadrature
+        monkeypatch.setattr(husimi, "wehrl_entropy_quadrature",
+                            lambda b, quad: calls.append(np.size(b.sz)) or real(b, quad))
+        run_sweep(SimulationConfig(alpha_mag=3.0, t_end=10.0, t_steps=50,
+                                   quad_theta_order=16, quad_phi_order=32),
+                  with_oracle=True)
+        assert calls == [50]
+
+    def test_closed_form_near_pure_start(self):
+        # at T = 5e-5, 1 - eta is about 1e-8, where the closed form used to
+        # snap to its eta = 1 limit, 2.5e-9 off the series
+        result = run_sweep(SimulationConfig(alpha_mag=7.0, t_start=5e-5, t_end=1e-3,
+                                            t_steps=50))
+        assert np.all(1.0 - result.data["eta"] < 1e-5)
+        spread = np.abs(result.data["wehrl_closed"] - result.data["wehrl_series"])
+        assert spread.max() <= 1e-10
+
     def test_structured_bytes_match_json_dumps(self, capsys):
         # the row text comes from the C encoder, re-indented
         config = SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=3)
@@ -168,19 +189,90 @@ class TestErrorContract:
         with pytest.raises(DomainError, match="^" + re.escape(message)):
             run_sweep(config)
 
+    def test_last_point_fault_found_by_halving(self, monkeypatch):
+        real = dynamics.reduced_density
+        t = np.linspace(0.0, 5.0, 1000)
+        calls = []
 
-@pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000)])
-def test_working_memory_is_bounded(alpha_mag, t_steps):
-    # peak traced memory less the float64 columns the result must hold:
-    # 0.46 and 0.54 MiB when chunked; a sweep holding one object per row
-    # peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its 1.3 MiB of values
-    config = SimulationConfig(alpha_mag=alpha_mag, t_end=30.0, t_steps=t_steps)
+        def leaky(amps, T):
+            calls.append(np.size(T))
+            rho = real(amps, T)
+            excess = np.where(np.asarray(T) == t[-1], 1e-9, 0.0)
+            return AtomicDensityMatrix(rho.rho_ee + excess, rho.rho_gg, rho.rho_eg)
+
+        monkeypatch.setattr(dynamics, "reduced_density", leaky)
+        message = f"at T = {t[-1].item()!r}: trace violation"
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run_sweep(SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=t.size))
+        assert len(calls) <= 2 * math.ceil(math.log2(t.size)) + 2
+        assert sum(calls) <= 2 * t.size + len(calls)
+
+    def test_fault_of_no_single_point_reraised(self):
+        t = np.linspace(0.0, 1.0, 9)
+
+        def stage(T):
+            if T.size > 3:
+                raise DomainError("too many points")
+            return T
+
+        with pytest.raises(DomainError, match="^too many points$"):
+            _on_grid(t, stage, t)
+
+    @pytest.fixture
+    def outside_ball(self, monkeypatch):
+        """Bloch components stretched by 1.5 from grid point 70 on (of 101).
+
+        eta is left as it is, so only the quadrature sees the fault.
+        """
+        real = dynamics.bloch_vector
+
+        def stretched(rho):
+            b = real(rho)
+            scale = np.where(np.arange(np.size(b.sz)) >= 70, 1.5, 1.0)
+            return dataclasses.replace(b, sx=b.sx * scale, sy=b.sy * scale,
+                                       sz=b.sz * scale)
+
+        monkeypatch.setattr(dynamics, "bloch_vector", stretched)
+        return np.linspace(0.0, 1.0, 101)[70].item()
+
+    def test_negative_q_names_first_t_in_a_later_block(self, outside_ball):
+        rows = QUAD_ELEMENTS // (16 * 32)
+        assert 70 > rows and 70 % rows  # inside a block, not the first one
+        config = SimulationConfig(alpha_mag=7.0, t_end=1.0, t_steps=101,
+                                  quad_theta_order=16, quad_phi_order=32)
+        message = f"at T = {outside_ball!r}: negative Q density"
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run_sweep(config, with_oracle=True)
+
+    def test_negative_q_cli_exits_1(self, outside_ball, capsys):
+        args = ["--alpha-mag", "7", "--t-end", "1", "--t-steps", "101", "--with-oracle",
+                "--quad-theta", "16", "--quad-phi", "32"]
+        assert main(args) == 1
+        assert f"at T = {outside_ball!r}: negative Q density" in capsys.readouterr().err
+
+
+def working_memory(config, with_oracle=False):
+    """Peak traced memory of a sweep less the float64 columns it must hold."""
     tracemalloc.start()
     try:
-        result = run_sweep(config)
+        result = run_sweep(config, with_oracle=with_oracle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     payload = sum(column.nbytes for column in result.data.values())
-    assert payload == len(BASE_COLUMNS) * 8 * t_steps
-    assert peak - payload <= 2 * 2 ** 20
+    assert payload == len(result.columns) * 8 * config.t_steps
+    return peak - payload
+
+
+@pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000)])
+def test_working_memory_is_bounded(alpha_mag, t_steps):
+    # 0.46 and 0.54 MiB when chunked; a sweep holding one object per row
+    # peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its 1.3 MiB of values
+    config = SimulationConfig(alpha_mag=alpha_mag, t_end=30.0, t_steps=t_steps)
+    assert working_memory(config) <= 2 * 2 ** 20
+
+
+def test_oracle_working_memory_is_bounded():
+    # the quadrature's two block buffers are 512 KiB, whatever the grid length
+    config = SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=2000)
+    assert working_memory(config, with_oracle=True) <= 2 * 2 ** 20

@@ -1,0 +1,134 @@
+"""Diff the CLI output of two source trees, column by column.
+
+    python tools/golden_diff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (its ``src/`` is put on
+``PYTHONPATH``).  The CLI runs on a fixed list of configurations for both
+trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45, a
+one-point grid, a grid starting next to the pure state, and the oracle
+column as CSV and JSON.  For each column the worst absolute difference and
+the worst difference in units in the last place (ulp, of the larger of the
+two values) are printed, with the config and eta where the ulp worst
+occurs, and the worst ulp over the rows with eta <= 0.99 alone (above it
+the Wehrl closed form and the normalized columns are steep in eta).  The
+exit status is 1 when the runs differ in header, row count, exit code or
+error text, and 0 otherwise, whatever the values.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ETA_SPLIT = 0.99
+
+CONFIGS = {
+    "paper-fig": ["--alpha-mag", "7", "--t-end", "30", "--t-steps", "4000"],
+    "collapse-a30": ["--alpha-mag", "30", "--t-start", "3", "--t-end", "33",
+                     "--t-steps", "4000"],
+    "oracle-json": ["--alpha-mag", "7", "--t-end", "30", "--t-steps", "2000",
+                    "--with-oracle", "--format", "structured"],
+    "alpha-0": ["--alpha-mag", "0", "--t-end", "30", "--t-steps", "500"],
+    "alpha-0.3": ["--alpha-mag", "0.3", "--alpha-phase", "1.1", "--t-end", "30",
+                  "--t-steps", "1000"],
+    "alpha-3": ["--alpha-mag", "3", "--alpha-phase", "-0.7", "--t-end", "50",
+                "--t-steps", "2000"],
+    "alpha-30": ["--alpha-mag", "30", "--alpha-phase", "2", "--t-end", "200",
+                 "--t-steps", "2000"],
+    "alpha-45": ["--alpha-mag", "45", "--t-end", "300", "--t-steps", "1000"],
+    "one-point": ["--alpha-mag", "2", "--t-start", "1.5", "--t-end", "1.5",
+                  "--t-steps", "1"],
+    "near-pure": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",
+                  "--t-steps", "500", "--with-oracle"],
+    "oracle-csv": ["--alpha-mag", "3", "--alpha-phase", "0.4", "--t-end", "20",
+                   "--t-steps", "300", "--with-oracle"],
+}
+
+
+def run_cli(tree: Path, args: list[str], out: Path) -> tuple[int, str, str]:
+    """Exit code, stderr and output text of one CLI run on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "jcm_entropy.cli", *args,
+                           "--output", str(out)],
+                          env=env, capture_output=True, text=True, check=False)
+    text = out.read_text(encoding="utf-8") if out.exists() else ""
+    return proc.returncode, proc.stderr, text
+
+
+def parse(text: str, structured: bool) -> tuple[list[str], np.ndarray]:
+    """Column names and a (rows, columns) float64 array."""
+    if structured:
+        payload = json.loads(text)
+        return payload["columns"], np.array(payload["rows"], dtype=float)
+    lines = text.splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows, dtype=float).reshape(len(rows), -1)
+
+
+def differences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute and ulp differences; equal values (NaN with NaN) give 0."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        absolute = np.where(same, 0.0, np.abs(a - b))
+        ulp = absolute / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return absolute, ulp
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_tree", type=Path)
+    p.add_argument("new_tree", type=Path)
+    args = p.parse_args(argv)
+
+    mismatches = []
+    worst: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, cli_args in CONFIGS.items():
+            runs = [run_cli(tree, cli_args, Path(work) / f"{name}-{side}.out")
+                    for side, tree in (("old", args.old_tree), ("new", args.new_tree))]
+            (old_code, old_err, old_text), (new_code, new_err, new_text) = runs
+            if (old_code, old_err) != (new_code, new_err):
+                mismatches.append(f"{name}: exit {old_code} -> {new_code}, "
+                                  f"stderr {old_err.strip()!r} -> {new_err.strip()!r}")
+                continue
+            if old_code:
+                print(f"{name}: both exit {old_code}")
+                continue
+            structured = "structured" in cli_args
+            old_cols, old = parse(old_text, structured)
+            new_cols, new = parse(new_text, structured)
+            if old_cols != new_cols or old.shape != new.shape:
+                mismatches.append(f"{name}: columns or row count differ")
+                continue
+            print(f"{name}: {old.shape[0]} rows, "
+                  f"{'byte-identical' if old_text == new_text else 'values differ'}")
+            for k, column in enumerate(old_cols):
+                absolute, ulp = differences(old[:, k], new[:, k])
+                eta = old[:, old_cols.index("eta")]
+                i = int(np.argmax(ulp))
+                w = worst.setdefault(column, {"abs": 0.0, "ulp": 0.0, "low": 0.0,
+                                              "where": ""})
+                w["abs"] = max(w["abs"], float(absolute.max()))
+                w["low"] = max(w["low"], float(ulp[eta <= ETA_SPLIT].max(initial=0.0)))
+                if ulp[i] > w["ulp"]:
+                    w.update(ulp=float(ulp[i]), where=f"{name}, row {i}, eta {eta[i]:.17g}")
+
+    print(f"\n{'column':<18} {'worst abs':>11} {'worst ulp':>11} {'eta<=0.99':>11}"
+          "  where (ulp)")
+    for column, w in worst.items():
+        print(f"{column:<18} {w['abs']:>11.3g} {w['ulp']:>11.4g} {w['low']:>11.4g}"
+              f"  {w['where']}")
+    for line in mismatches:
+        print("MISMATCH " + line)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BlochVector, _first, _item
+from .dynamics import BlochVector, _check_tolerance, _first, _item
 from .errors import DomainError, PrecisionLossError
 
 LN2 = math.log(2.0)
@@ -88,10 +88,9 @@ def _sum_series(eta: np.ndarray, denom, series_tol: float) -> np.ndarray:
     ``np.multiply.accumulate`` and partial sums by ``np.add.accumulate``,
     which keep the order of a term-by-term loop, so every sum is the one that
     loop gives, bit for bit.  Points leave the batch once they stop; blocks
-    double in length within ``_BLOCK_ELEMENTS`` terms.
+    double in length within ``_BLOCK_ELEMENTS`` terms.  ``series_tol`` is
+    checked by the public routes.
     """
-    if not series_tol > 0.0:
-        raise DomainError("series_tol must be positive")
     q = (eta * eta).ravel()
     out = np.empty_like(q)
     batch = _BLOCK_ELEMENTS // _FIRST_BLOCK
@@ -128,6 +127,7 @@ def von_neumann_series(eta, series_tol: float = 1e-14):
     The series converges too slowly at eta = 1, where the closed form is
     exact anyway, so that endpoint is refused.
     """
+    _check_tolerance("series_tol", series_tol)
     eta = _check_eta(eta)
     if np.any(eta >= 1.0):
         raise DomainError("von_neumann_series: eta = 1 is out of domain, "
@@ -141,6 +141,7 @@ def wehrl_entropy_series(eta, series_tol: float = 1e-14):
     Terms fall off like n^-3, so the series converges on the whole closed
     interval [0, 1].
     """
+    _check_tolerance("series_tol", series_tol)
     eta = _check_eta(eta)
     return _item(LN4PI - _sum_series(
         eta, lambda n: 2 * n * (2 * n - 1) * (2 * n + 1), series_tol))
@@ -157,8 +158,10 @@ def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
     eta = 1, 1 - eta*eta cancels, so above eta = 0.99 1 - eta^2 is taken
     as (1 - eta)(1 + eta), whose factor 1 - eta is exact there; up to 0.99,
     1 - eta*eta is good to 6e-15 relative and is used as it is.  The error
-    stays within a few 1e-15 up to eta = 1.
+    stays within a few 1e-15 up to eta = 1.  ``series_tol`` is checked
+    whether or not a point falls below eta = 1e-3.
     """
+    _check_tolerance("series_tol", series_tol)
     eta = _check_eta(eta)
     out = np.full(eta.shape, WEHRL_MIN)
     small = eta < _CLOSED_FORM_MIN_ETA

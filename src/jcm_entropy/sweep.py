@@ -87,14 +87,33 @@ def _on_grid(t: np.ndarray, fn, *columns):
     raise error
 
 
+# Grid points per pass through the stages of run_sweep: their temporaries
+# grow with this, not with the grid.
+SWEEP_POINTS = 2 ** 12
+
+
+def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
+    """The output columns at the grid points ``t``, each stage run once."""
+    b = _on_grid(t, lambda T: dynamics.bloch_vector(dynamics.reduced_density(amps, T)), t)
+    record = _on_grid(t, lambda T, eta: entropies.entropy_record(
+        T, eta, config.series_tol), t, b.eta)
+    values = {**vars(b), **vars(record)}
+    if quad is not None:
+        values["wehrl_quadrature"] = _on_grid(t, lambda *v: husimi.wehrl_entropy_quadrature(
+            dynamics.BlochVector(*v), quad), b.sx, b.sy, b.sz, b.eta)
+    return values
+
+
 def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
 
-    The Fock amplitudes are built once.  The Bloch vector, the entropies
-    and, when ``with_oracle`` is set, the slow spherical quadrature are then
-    each computed for the whole grid at once.  A DomainError names the
-    first grid point at which the failing stage fails.
+    The Fock amplitudes are built once.  The grid is then taken
+    ``SWEEP_POINTS`` points at a time; for each run of points the Bloch
+    vector, the entropies and, when ``with_oracle`` is set, the slow
+    spherical quadrature are each computed at once, into columns allocated
+    for the whole grid.  A DomainError names the first grid point at which
+    the failing stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -104,19 +123,15 @@ def run_sweep(config: dynamics.SimulationConfig,
                                        config.quad_phi_order)
 
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
-    b = _on_grid(t, lambda T: dynamics.bloch_vector(
-        dynamics.reduced_density(amps, T)), t)
-    bloch = {name: getattr(b, name) for name in ("sx", "sy", "sz", "eta")}
-
-    record = _on_grid(t, lambda T, eta: entropies.entropy_record(
-        T, eta, config.series_tol), t, bloch["eta"])
-    data = {**bloch, **vars(record)}
-    if quad is not None:
-        data["wehrl_quadrature"] = _on_grid(t, lambda *b: husimi.wehrl_entropy_quadrature(
-            dynamics.BlochVector(*b), quad), *bloch.values())
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
-    return SweepResult(config=config, with_oracle=with_oracle,
-                       data={name: data[name] for name in columns})
+    data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
+    for lo in range(0, t.size, SWEEP_POINTS):
+        part = t[lo:lo + SWEEP_POINTS]
+        values = _stages(part, amps, config, quad)
+        for name in columns[1:]:
+            data[name][lo:lo + part.size] = values[name]
+        del values  # before the next run of points is computed
+    return SweepResult(config=config, with_oracle=with_oracle, data=data)
 
 
 def _row_values(result: SweepResult):

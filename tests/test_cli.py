@@ -146,13 +146,15 @@ class TestMain:
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: importing it would cost the CLI most
     # of its start-up time, and no library route needs it, the triple sum
-    # included
+    # included.  numpy.fft is loaded by the spectral route of
+    # reduced_density when it runs, not on import.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, jcm_entropy as j, jcm_entropy.cli; "
+            "fft = sorted(m for m in sys.modules if m.startswith('numpy.fft')); "
             "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')), fft)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] []"

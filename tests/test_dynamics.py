@@ -14,6 +14,14 @@ from jcm_entropy import (
     bloch_vector,
     coherent_amplitudes,
     reduced_density,
+    run_sweep,
+)
+from jcm_entropy import dynamics
+from jcm_entropy.dynamics import (
+    SPECTRAL_BLOCK,
+    SPECTRAL_MIN_PHASES,
+    SPECTRAL_MIN_TIMES,
+    SPECTRAL_TOL,
 )
 
 
@@ -294,6 +302,190 @@ class TestReducedDensity:
             b_t = bloch_vector(rho_t)
             assert (b.sx[i], b.sy[i], b.sz[i], b.eta[i]) == \
                 (b_t.sx, b_t.sy, b_t.sz, b_t.eta)
+
+
+def pointwise_density(amps, T):
+    """rho_ee, rho_gg and rho_eg by one scalar reduced_density call a time:
+    the direct sums, whatever the grid."""
+    rows = [reduced_density(amps, t) for t in np.asarray(T).tolist()]
+    return tuple(np.array([getattr(r, name) for r in rows])
+                 for name in ("rho_ee", "rho_gg", "rho_eg"))
+
+
+def direct_density(amps, T):
+    """rho_ee, rho_gg and rho_eg with the spectral route switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "SPECTRAL_MIN_TIMES", math.inf)
+        rho = reduced_density(amps, T)
+    return rho.rho_ee, rho.rho_gg, rho.rho_eg
+
+
+def mp_density(amps, T, roots):
+    """rho_ee, rho_gg and rho_eg at the float T in 40-digit mpmath, from the
+    library's float weights and the square roots ``roots`` of n_min+1..n_max+1."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(T)
+        w = [mpmath.mpf(x) for x in amps.weights.tolist()]
+        cs = [mpmath.cos_sin(t * r) for r in roots]
+        ee = mpmath.fsum(x * x * c * c for x, (c, _) in zip(w, cs))
+        gg = mpmath.fsum(x * x * s * s for x, (_, s) in zip(w, cs))
+        coh = mpmath.fsum(w1 * w0 * c1 * s0
+                          for w1, w0, (c1, _), (_, s0) in zip(w[1:], w, cs[1:], cs))
+        return ee, gg, 1j * mpmath.expj(amps.phase) * coh
+
+
+def revival_grid(alpha_mag, revivals, t_steps):
+    """T in [0, revivals * T_r], T_r = 2 pi |alpha| the revival time."""
+    return np.linspace(0.0, revivals * 2.0 * math.pi * alpha_mag, t_steps)
+
+
+@pytest.fixture(scope="module")
+def revivals_alpha1000():
+    """|alpha| = 1000 out to three revivals, 1000 times: one spectral block
+    anchored at T = 0, where the direct sums are exact."""
+    amps = coherent_amplitudes(1000.0, 0.7, 1e-12)
+    T = revival_grid(1000.0, 3.0, 1000)
+    with mpmath.workdps(40):
+        roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+    return amps, T, roots, reduced_density(amps, T)
+
+
+class TestSpectralRoute:
+    """reduced_density's spectral route on uniform grids, against the direct
+    sums (its oracle) and 40-digit mpmath."""
+
+    @pytest.fixture
+    def spectral_calls(self, monkeypatch):
+        """The grid lengths the spectral route is run on."""
+        calls = []
+        real = dynamics._spectral_sums
+
+        def counted(*args):
+            calls.append(args[-2].size)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_spectral_sums", counted)
+        return calls
+
+    @staticmethod
+    def assert_change_within_tol(rho, j, refs):
+        """The change of each entry from T[0] (the block anchor) to T[j]
+        matches mpmath's within SPECTRAL_TOL."""
+        (ee0, gg0, eg0), (ee, gg, eg) = refs
+        assert abs((rho.rho_ee[j] - rho.rho_ee[0]) - (ee - ee0)) <= SPECTRAL_TOL
+        assert abs((rho.rho_gg[j] - rho.rho_gg[0]) - (gg - gg0)) <= SPECTRAL_TOL
+        assert abs((rho.rho_eg[j] - rho.rho_eg[0]) - (eg - eg0)) <= SPECTRAL_TOL
+
+    @pytest.mark.parametrize("alpha_mag", [30.0, 300.0])
+    def test_against_mpmath(self, alpha_mag, spectral_calls):
+        amps = coherent_amplitudes(alpha_mag, 0.7, 1e-12)
+        T = revival_grid(alpha_mag, 3.0, 1000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        ref0 = mp_density(amps, T[0], roots)
+        for j in (250, 600, 999):  # 0.75, 1.8 and 3 revival times
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
+    def test_against_mpmath_at_long_times(self, spectral_calls):
+        # T near 1e6, T*sqrt(n_max+1) = 3.5e7: a grid time is off the
+        # uniform grid by up to about 1e-10, which the sums follow
+        amps = coherent_amplitudes(30.0, 0.7, 1e-12)
+        T = np.linspace(1e6, 1e6 + 300.0, 1000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        ref0 = mp_density(amps, T[0], roots)
+        for j in (1, 333, 998, 999):
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
+    def test_against_mpmath_alpha1000(self, revivals_alpha1000):
+        amps, T, roots, rho = revivals_alpha1000
+        ref0 = mp_density(amps, T[0], roots)
+        for j in (250, 999):
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
+    def test_spread_from_direct_is_the_direct_routes_error(self, revivals_alpha1000):
+        # The direct sums round each phase T*sqrt(n+1), about 1.9e7 rad at
+        # T = 3 T_r: the two routes differ by some 4e-11 on this grid, and at
+        # the worst point the spectral value is the one close to mpmath.
+        amps, T, roots, rho = revivals_alpha1000
+        direct = direct_density(amps, T)
+        for name, direct_values in zip(("rho_ee", "rho_eg"), direct[::2]):
+            spread = np.abs(getattr(rho, name) - direct_values)
+            j = int(spread.argmax())
+            assert spread[j] > 1e-11
+            exact = mp_density(amps, T[j], roots)[0 if name == "rho_ee" else 2]
+            spectral_err = abs(getattr(rho, name)[j] - exact)
+            assert spectral_err <= SPECTRAL_TOL < abs(direct_values[j] - exact)
+
+    @pytest.mark.parametrize("alpha_mag", [7.0, 30.0, 60.0])
+    def test_about_the_crossover(self, alpha_mag, spectral_calls):
+        # 140 and 641 terms reach the crossover on its phase count, 1241 on
+        # its time count
+        amps = coherent_amplitudes(alpha_mag, 0.3, 1e-12)
+        terms = amps.weights.size
+        first = max(SPECTRAL_MIN_TIMES, -(-SPECTRAL_MIN_PHASES // terms))
+        below = np.linspace(3.0, 33.0, first - 1)
+        rho = reduced_density(amps, below)
+        assert spectral_calls == []
+        for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg),
+                             pointwise_density(amps, below)):
+            assert np.array_equal(got, want)
+        above = np.linspace(3.0, 33.0, first)
+        rho = reduced_density(amps, above)
+        assert spectral_calls == [first]
+        for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg),
+                             pointwise_density(amps, above)):
+            assert np.abs(got - want).max() <= SPECTRAL_TOL
+
+    def test_anchors_equal_the_direct_route(self, spectral_calls):
+        amps = coherent_amplitudes(30.0, 0.4, 1e-12)
+        T = np.linspace(0.0, 200.0, 10000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        blocks = -(-T.size // SPECTRAL_BLOCK)
+        anchors = np.arange(0, T.size, -(-T.size // blocks))
+        assert anchors.size == blocks == 3
+        want = pointwise_density(amps, T[anchors])
+        for got, expected in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), want):
+            assert np.array_equal(got[anchors], expected)
+        # T = 0 is an anchor: the initial state is the direct route's
+        assert (rho.rho_gg[0], rho.rho_eg[0]) == (0.0, 0.0)
+        b, b0 = bloch_vector(rho), bloch_vector(reduced_density(amps, 0.0))
+        assert (b.sx[0], b.sy[0], b.sz[0], b.eta[0]) == (b0.sx, b0.sy, b0.sz, b0.eta)
+
+    def test_runs_of_a_grid_and_reversed_grids(self, spectral_calls):
+        amps = coherent_amplitudes(30.0, -1.1, 1e-12)
+        full = np.linspace(0.0, 100.0, 5000)
+        for T in (full[777:2777], full[::-1]):
+            rho = reduced_density(amps, T)
+            for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg),
+                                 direct_density(amps, T)):
+                assert np.abs(got - want).max() <= SPECTRAL_TOL
+        assert spectral_calls == [2000, 5000]
+
+    @pytest.mark.parametrize("T", [
+        np.full(1000, 3.0),                     # t_start == t_end
+        np.array([3.0, 33.0]),                  # two points
+        np.geomspace(1.0, 100.0, 1000),         # not uniform
+        np.linspace(3.0, 33.0, 1000) + np.where(np.arange(1000) == 500, 1e-9, 0.0),
+    ], ids=["constant", "two-points", "geometric", "one-point-moved"])
+    def test_degenerate_grids_take_the_direct_route(self, T, spectral_calls):
+        amps = coherent_amplitudes(30.0, 0.0, 1e-12)
+        assert T.size * amps.weights.size >= SPECTRAL_MIN_PHASES or T.size == 2
+        rho = reduced_density(amps, T)
+        assert spectral_calls == []
+        for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), pointwise_density(amps, T)):
+            assert np.array_equal(got, want)
+
+    def test_sweep_with_equal_ends_takes_the_direct_route(self, spectral_calls):
+        result = run_sweep(SimulationConfig(alpha_mag=30.0, t_start=3.0, t_end=3.0,
+                                            t_steps=500))
+        assert spectral_calls == []
+        assert np.all(result.data["sz"] == result.data["sz"][0])
 
 
 class TestBlochVector:

@@ -15,6 +15,7 @@ from jcm_entropy import (
     BlochVector,
     DomainError,
     PrecisionLossError,
+    SimulationConfig,
     entropy_record,
     linear_entropy,
     normalized_entropies,
@@ -263,6 +264,37 @@ class TestSeriesIdentities:
                    - Fraction(1, 2 * (2 * n - 1))
                    + Fraction(1, 2 * (2 * n + 1)))
             assert lhs == rhs
+
+
+class TestSeriesTolerance:
+    """series_tol is checked once, by one helper, wherever it is taken."""
+
+    BAD = [float("inf"), float("nan"), 0.0, -1e-14, 1.0, 5.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    @pytest.mark.parametrize("route", [von_neumann_series, wehrl_entropy_series,
+                                       wehrl_entropy_closed, entropy_record])
+    def test_rejected_by_every_route(self, route, tol):
+        args = (0.0, 0.5) if route is entropy_record else (0.5,)
+        with pytest.raises(DomainError, match=r"series_tol must lie in \(0, 1\)"):
+            route(*args, series_tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_rejected_by_config(self, tol):
+        with pytest.raises(DomainError, match=r"series_tol must lie in \(0, 1\)"):
+            SimulationConfig(alpha_mag=1.0, series_tol=tol)
+
+    def test_closed_form_checks_it_without_series_points(self):
+        # no eta below 1e-3, so the series is never reached
+        with pytest.raises(DomainError, match="series_tol"):
+            wehrl_entropy_closed(np.array([0.5, 0.9]), series_tol=float("inf"))
+
+    def test_infinite_tolerance_no_longer_stops_after_one_term(self):
+        # series_tol = inf used to stop after the first term: 2.4893576
+        # against the closed form's 2.4882326 at eta = 0.5
+        assert abs(wehrl_entropy_series(0.5) - wehrl_entropy_closed(0.5)) < 1e-15
+        with pytest.raises(DomainError):
+            wehrl_entropy_series(0.5, series_tol=float("inf"))
 
 
 class TestNormalized:

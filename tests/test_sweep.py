@@ -264,10 +264,13 @@ def working_memory(config, with_oracle=False):
     return peak - payload
 
 
-@pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000)])
+@pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000), (200.0, 200000)])
 def test_working_memory_is_bounded(alpha_mag, t_steps):
-    # 0.46 and 0.54 MiB when chunked; a sweep holding one object per row
-    # peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its 1.3 MiB of values
+    # 1.3, 1.3 and 1.6 MiB, the three on the spectral route, whose blocks
+    # and the sweep's runs of points hold 4096 times; a sweep holding one
+    # object per row peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its
+    # 1.3 MiB of values, and one holding whole-grid temporaries at 5 MiB at
+    # (200, 200000)
     config = SimulationConfig(alpha_mag=alpha_mag, t_end=30.0, t_steps=t_steps)
     assert working_memory(config) <= 2 * 2 ** 20
 

@@ -4,9 +4,10 @@
 
 Each tree is a checkout of this repository (its ``src/`` is put on
 ``PYTHONPATH``).  The CLI runs on a fixed list of configurations for both
-trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45, a
-one-point grid, a grid starting next to the pure state, and the oracle
-column as CSV and JSON.  For each column the worst absolute difference and
+trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
+|alpha| = 200 out to 1.1 revival times (a large basis on the spectral
+route of ``reduced_density``), a one-point grid, a grid starting next to
+the pure state, and the oracle column as CSV and JSON.  For each column the worst absolute difference and
 the worst difference in units in the last place (ulp, of the larger of the
 two values) are printed, with the config and eta where the ulp worst
 occurs, and the worst ulp over the rows with eta <= 0.99 alone (above it
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +45,8 @@ CONFIGS = {
     "alpha-30": ["--alpha-mag", "30", "--alpha-phase", "2", "--t-end", "200",
                  "--t-steps", "2000"],
     "alpha-45": ["--alpha-mag", "45", "--t-end", "300", "--t-steps", "1000"],
+    "alpha-200": ["--alpha-mag", "200", "--t-end", repr(1.1 * 2 * math.pi * 200),
+                  "--t-steps", "20000"],
     "one-point": ["--alpha-mag", "2", "--t-start", "1.5", "--t-end", "1.5",
                   "--t-steps", "1"],
     "near-pure": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",

@@ -20,7 +20,6 @@ from .entropies import (
     LN4PI,
     WEHRL_MIN,
     WEHRL_SPAN,
-    EntropyRecord,
     entropy_record,
     linear_entropy,
     normalized_entropies,
@@ -28,7 +27,6 @@ from .entropies import (
     von_neumann_series,
     wehrl_entropy_closed,
     wehrl_entropy_series,
-    wehrl_entropy_triple_sum,
 )
 from .errors import DomainError, PrecisionLossError
 from .husimi import (
@@ -37,20 +35,21 @@ from .husimi import (
     q_normalization,
     trig_power_integral,
     wehrl_entropy_quadrature,
+    wehrl_entropy_triple_sum,
 )
-from .sweep import SweepResult, SweepRow, emit, run_sweep
+from .sweep import SweepResult, emit, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomicDensityMatrix", "BlochVector", "FockAmplitudes", "SimulationConfig",
     "bloch_vector", "coherent_amplitudes", "reduced_density",
-    "EntropyRecord", "entropy_record", "linear_entropy", "normalized_entropies",
+    "entropy_record", "linear_entropy", "normalized_entropies",
     "von_neumann_entropy", "von_neumann_series", "wehrl_entropy_closed",
     "wehrl_entropy_series", "wehrl_entropy_triple_sum",
     "LN2", "LN4PI", "WEHRL_MIN", "WEHRL_SPAN",
     "SphereQuadrature", "atomic_q", "q_normalization", "trig_power_integral",
     "wehrl_entropy_quadrature",
-    "SweepResult", "SweepRow", "emit", "run_sweep",
+    "SweepResult", "emit", "run_sweep",
     "DomainError", "PrecisionLossError",
 ]

@@ -30,9 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-tol", type=float, default=1e-14,
                    help="relative term size at which series are truncated")
     p.add_argument("--quad-theta", type=int, default=64,
-                   help="Gauss-Legendre order for the oracle quadrature")
+                   help="Gauss-Legendre order for the oracle quadrature (>= 2)")
     p.add_argument("--quad-phi", type=int, default=128,
-                   help="azimuthal order for the oracle quadrature")
+                   help="azimuthal order for the oracle quadrature (>= 4)")
     p.add_argument("--with-oracle", action="store_true",
                    help="add the (slow) spherical-quadrature Wehrl column")
     p.add_argument("--format", choices=("csv", "structured"), default="csv")
@@ -55,10 +55,7 @@ def main(argv=None) -> int:
     try:
         result = run_sweep(config, with_oracle=args.with_oracle)
         emit(result, format=args.format, path=args.output)
-    except (DomainError, PrecisionLossError) as exc:
-        print(f"jcm-entropy: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, PrecisionLossError, OSError) as exc:
         print(f"jcm-entropy: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -48,6 +48,23 @@ def _check_tolerance(name: str, tol) -> None:
         raise DomainError(f"{name} must lie in (0, 1), got {tol!r}")
 
 
+def _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol) -> None:
+    """|alpha| finite and nonnegative, its phase finite, fock_tail_tol in (0, 1)."""
+    _require_finite("alpha_mag", alpha_mag)
+    _require_finite("alpha_phase", alpha_phase)
+    if alpha_mag < 0:
+        raise DomainError("alpha_mag must be nonnegative")
+    _check_tolerance("fock_tail_tol", fock_tail_tol)
+
+
+def _check_quad_orders(theta_order, phi_order) -> None:
+    """The oracle quadrature needs at least 2 nodes in cos(theta) and 4 in phi."""
+    if theta_order < 2:
+        raise DomainError(f"theta_order must be >= 2, got {theta_order!r}")
+    if phi_order < 4:
+        raise DomainError(f"phi_order must be >= 4, got {phi_order!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters for a time sweep: initial field, grid, numeric policies."""
@@ -63,18 +80,15 @@ class SimulationConfig:
     quad_phi_order: int = 128
 
     def __post_init__(self):
-        for name in ("alpha_mag", "alpha_phase", "t_start", "t_end"):
+        _check_coherent_inputs(self.alpha_mag, self.alpha_phase, self.fock_tail_tol)
+        for name in ("t_start", "t_end"):
             _require_finite(name, getattr(self, name))
-        if self.alpha_mag < 0:
-            raise DomainError("alpha_mag must be nonnegative")
         if self.t_steps < 1:
             raise DomainError("t_steps must be a positive integer")
         if self.t_end < self.t_start:
             raise DomainError("t_end must not precede t_start")
-        for name in ("fock_tail_tol", "series_tol"):
-            _check_tolerance(name, getattr(self, name))
-        if self.quad_theta_order < 1 or self.quad_phi_order < 1:
-            raise DomainError("quadrature orders must be positive integers")
+        _check_tolerance("series_tol", self.series_tol)
+        _check_quad_orders(self.quad_theta_order, self.quad_phi_order)
 
 
 @dataclass(frozen=True)
@@ -157,12 +171,7 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     from the mode floor(|alpha|^2), starting from 1 there, and then
     renormalized, so nothing underflows at large |alpha|.
     """
-    _require_finite("alpha_mag", alpha_mag)
-    _require_finite("alpha_phase", alpha_phase)
-    if alpha_mag < 0:
-        raise DomainError("alpha_mag must be nonnegative")
-    _check_tolerance("fock_tail_tol", fock_tail_tol)
-
+    _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol)
     if alpha_mag == 0.0:
         return FockAmplitudes(np.ones(1), 0, 0, alpha_phase, 0.0)
 

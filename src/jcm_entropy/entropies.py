@@ -1,8 +1,7 @@
 """Entanglement entropies of the atomic qubit as functions of the Bloch radius.
 
-Three measures are provided, each by at least two mutually independent
-routes (closed form, power series, and for the Wehrl entropy also the raw
-triple sum over Bloch components):
+Three measures are provided, the last two each by a closed form and an
+independent power series (the Wehrl oracle routes are in ``husimi``):
 
 * linear entropy        xi    = (1 - eta^2)/2,            range [0, 1/2]
 * von Neumann entropy   gamma = -sum mu log mu,           range [0, ln 2]
@@ -15,40 +14,23 @@ is what makes cross-route checking possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BlochVector, _check_tolerance, _first, _item
-from .errors import DomainError, PrecisionLossError
+from .dynamics import ETA_TOL, _check_tolerance, _first, _item
+from .errors import DomainError
 
 LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
 WEHRL_SPAN = LN2 - 0.5                           # ln(4pi) - WEHRL_MIN
 
-_ETA_TOL = 1e-9
 _CLOSED_FORM_MIN_ETA = 1e-3   # below this the closed form cancels badly
 _CANCELLING_ETA = 0.99        # above this 1 - eta*eta cancels
 _MAX_TERMS = 10 ** 6
 _BLOCK_ELEMENTS = 2 ** 13   # series terms held at once
 _FIRST_BLOCK = 8            # terms per point in a batch's first block
 _TERM_FLOOR = 1e-300
-_TERM_MAGNITUDE_LIMIT = 1e15
-
-
-@dataclass(frozen=True)
-class EntropyRecord:
-    """All entropy measures at one time point, or one array each over a grid."""
-
-    t: float | np.ndarray
-    eta: float | np.ndarray
-    xi: float | np.ndarray
-    gamma: float | np.ndarray
-    wehrl_closed: float | np.ndarray
-    wehrl_series: float | np.ndarray
-    gamma_norm: float | np.ndarray
-    wehrl_norm: float | np.ndarray
 
 
 def _check_eta(eta) -> np.ndarray:
@@ -57,7 +39,7 @@ def _check_eta(eta) -> np.ndarray:
     bad = ~np.isfinite(eta)
     if bad.any():
         raise DomainError(f"eta must be finite, got {_first(eta, bad)!r}")
-    bad = (eta < 0.0) | (eta > 1.0 + _ETA_TOL)
+    bad = (eta < 0.0) | (eta > 1.0 + ETA_TOL)
     if bad.any():
         raise DomainError(f"eta = {_first(eta, bad)!r} outside [0, 1]")
     return np.minimum(eta, 1.0, out=eta)
@@ -176,54 +158,6 @@ def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
     return _item(out)
 
 
-def _gammaln(x: np.ndarray) -> np.ndarray:
-    """ln Gamma(x) elementwise by ``math.lgamma``, once per distinct argument."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.lgamma(v) for v in values.tolist()])[inverse]
-
-
-def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
-    """Atomic Wehrl entropy from the raw sum over Bloch-vector components.
-
-    The underlying expansion is a triple sum over (n, r, s) in which the
-    alternating s-sum encodes the polar integral
-    integral_0^1 t^{2(n-r)} (1-t^2)^r dt.  Summing it term by term loses
-    all precision once sz^2 and sx^2+sy^2 are both appreciable (individual
-    terms exceed 1e15 near n ~ 85), so that inner sum is carried out by
-    exact cancellation to its beta-function value and the remaining (n, r)
-    terms, all positive, are accumulated in log space.
-    """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    _check_eta(bloch.eta)
-    u = bloch.sz * bloch.sz
-    v = bloch.sx * bloch.sx + bloch.sy * bloch.sy
-
-    n = np.concatenate([np.full(k + 1, k) for k in range(1, n_terms + 1)])
-    r = np.concatenate([np.arange(k + 1) for k in range(1, n_terms + 1)])
-
-    # 0^0 = 1 here: a zero component only kills terms with a positive power
-    if u > 0.0:
-        pow_u = (n - r) * math.log(u)
-    else:
-        pow_u = np.where(n - r > 0, -np.inf, 0.0)
-    if v > 0.0:
-        pow_v = r * math.log(v)
-    else:
-        pow_v = np.where(r > 0, -np.inf, 0.0)
-
-    log_terms = (_gammaln(2 * n + 1) + _gammaln(n - r + 0.5) + pow_u + pow_v
-                 - np.log(2.0 * n * (2.0 * n - 1.0))
-                 - _gammaln(2 * (n - r) + 1) - _gammaln(r + 1.0)
-                 - r * math.log(4.0) - math.log(2.0) - _gammaln(n + 1.5))
-
-    if np.any(log_terms > math.log(_TERM_MAGNITUDE_LIMIT)):
-        raise PrecisionLossError(
-            "triple-sum partial term exceeds 1e15; input Bloch vector is "
-            "outside the unit ball")
-    return LN4PI - float(np.sum(np.exp(log_terms)))
-
-
 def normalized_entropies(gamma, wehrl):
     """Rescaled measures: gamma/ln 2 and (ln(4pi) - W)/(ln 2 - 1/2).
 
@@ -233,18 +167,15 @@ def normalized_entropies(gamma, wehrl):
     return _item(gamma / LN2), _item((LN4PI - wehrl) / WEHRL_SPAN)
 
 
-def entropy_record(t, eta, series_tol: float = 1e-14) -> EntropyRecord:
-    """Evaluate every measure (both Wehrl routes) at one time point or a grid.
+def entropy_record(eta, series_tol: float = 1e-14) -> dict:
+    """Every measure (both Wehrl routes) at one eta or a grid of them.
 
-    ``t`` is carried through as given; ``eta`` is a scalar or an array of
-    the same length, and every field of the record has its shape.
+    The six entropy columns of a sweep, keyed by column name; each has the
+    shape of ``eta``, and a scalar ``eta`` gives Python floats.
     """
-    eta = _check_eta(eta)
     gamma = von_neumann_entropy(eta)
     w_closed = wehrl_entropy_closed(eta, series_tol)
-    w_series = wehrl_entropy_series(eta, series_tol)
     gamma_norm, wehrl_norm = normalized_entropies(gamma, w_closed)
-    return EntropyRecord(
-        t=t, eta=_item(eta), xi=linear_entropy(eta), gamma=gamma,
-        wehrl_closed=w_closed, wehrl_series=w_series,
-        gamma_norm=gamma_norm, wehrl_norm=wehrl_norm)
+    return {"xi": linear_entropy(eta), "gamma": gamma, "wehrl_closed": w_closed,
+            "wehrl_series": wehrl_entropy_series(eta, series_tol),
+            "gamma_norm": gamma_norm, "wehrl_norm": wehrl_norm}

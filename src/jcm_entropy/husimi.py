@@ -1,4 +1,4 @@
-"""Husimi Q-function on the sphere and the brute-force Wehrl entropy oracle.
+"""Husimi Q-function on the sphere and the Wehrl entropy's two oracle routes.
 
 For a qubit the Q-function against spin coherent states
 |theta, phi> = cos(theta/2)|e> + sin(theta/2) e^{i phi}|g>
@@ -18,7 +18,8 @@ geometry (sin theta, cos phi, sin phi) is built once per
 :class:`SphereQuadrature`, but the oracle stays independent of the other
 routes: Q is evaluated from (sx, sy, sz) at every node for every point,
 with no use of rotational symmetry, of eta, or of the closed form or the
-series.
+series.  ``wehrl_entropy_triple_sum``, the other oracle, integrates term
+by term the expansion whose azimuthal integrals ``trig_power_integral`` gives.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector, _item
-from .entropies import _xlogx
-from .errors import DomainError
+from .dynamics import BlochVector, _check_quad_orders, _item
+from .entropies import LN4PI, _check_eta, _xlogx
+from .errors import DomainError, PrecisionLossError
 
 FOUR_PI = 4.0 * math.pi
 Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
+_TERM_MAGNITUDE_LIMIT = 1e15
 
 # Quadrature nodes per block of points.  The two block buffers (16 bytes a
 # node, 512 KiB) are allocated once per call; a point whose nodes exceed this
@@ -54,10 +56,7 @@ class SphereQuadrature:
     sin_phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.theta_order < 2:
-            raise DomainError("theta_order must be >= 2")
-        if self.phi_order < 4:
-            raise DomainError("phi_order must be >= 4")
+        _check_quad_orders(self.theta_order, self.phi_order)
         mu, w = np.polynomial.legendre.leggauss(self.theta_order)
         phi = 2.0 * math.pi * np.arange(self.phi_order) / self.phi_order
         for name, value in (("mu_nodes", mu), ("mu_weights", w), ("phi_nodes", phi),
@@ -157,3 +156,51 @@ def trig_power_integral(c1: float, c2: float, k: int) -> float:
     for j in range(1, m + 1):
         ratio *= (2 * j - 1) / (2 * j)
     return 2.0 * math.pi * ratio * (c1 * c1 + c2 * c2) ** m
+
+
+def _gammaln(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise by ``math.lgamma``, once per distinct argument."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[inverse]
+
+
+def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
+    """Atomic Wehrl entropy from the raw sum over Bloch-vector components.
+
+    The underlying expansion is a triple sum over (n, r, s) in which the
+    alternating s-sum encodes the polar integral
+    integral_0^1 t^{2(n-r)} (1-t^2)^r dt.  Summing it term by term loses
+    all precision once sz^2 and sx^2+sy^2 are both appreciable (individual
+    terms exceed 1e15 near n ~ 85), so that inner sum is carried out by
+    exact cancellation to its beta-function value and the remaining (n, r)
+    terms, all positive, are accumulated in log space.
+    """
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    _check_eta(bloch.eta)
+    u = bloch.sz * bloch.sz
+    v = bloch.sx * bloch.sx + bloch.sy * bloch.sy
+
+    n = np.concatenate([np.full(k + 1, k) for k in range(1, n_terms + 1)])
+    r = np.concatenate([np.arange(k + 1) for k in range(1, n_terms + 1)])
+
+    # 0^0 = 1 here: a zero component only kills terms with a positive power
+    if u > 0.0:
+        pow_u = (n - r) * math.log(u)
+    else:
+        pow_u = np.where(n - r > 0, -np.inf, 0.0)
+    if v > 0.0:
+        pow_v = r * math.log(v)
+    else:
+        pow_v = np.where(r > 0, -np.inf, 0.0)
+
+    log_terms = (_gammaln(2 * n + 1) + _gammaln(n - r + 0.5) + pow_u + pow_v
+                 - np.log(2.0 * n * (2.0 * n - 1.0))
+                 - _gammaln(2 * (n - r) + 1) - _gammaln(r + 1.0)
+                 - r * math.log(4.0) - math.log(2.0) - _gammaln(n + 1.5))
+
+    if np.any(log_terms > math.log(_TERM_MAGNITUDE_LIMIT)):
+        raise PrecisionLossError(
+            "triple-sum partial term exceeds 1e15; input Bloch vector is "
+            "outside the unit ball")
+    return LN4PI - float(np.sum(np.exp(log_terms)))

@@ -6,7 +6,6 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,42 +19,16 @@ ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a :class:`SweepResult`, as Python floats."""
-
-    t: float
-    sx: float
-    sy: float
-    sz: float
-    eta: float
-    xi: float
-    gamma: float
-    wehrl_closed: float
-    wehrl_series: float
-    wehrl_quadrature: float | None
-    gamma_norm: float
-    wehrl_norm: float
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep as one float64 array per output column, keyed by column name."""
+    """A sweep as one float64 array per output column, keyed in column order."""
 
     config: dynamics.SimulationConfig
-    with_oracle: bool
     data: dict[str, np.ndarray]
 
     @property
     def columns(self) -> tuple[str, ...]:
-        return ORACLE_COLUMNS if self.with_oracle else BASE_COLUMNS
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The columns as one :class:`SweepRow` per grid point, built on first use."""
-        extra = {} if self.with_oracle else {"wehrl_quadrature": None}
-        return tuple(SweepRow(**dict(zip(self.columns, row)), **extra)
-                     for row in _row_values(self))
+        return tuple(self.data)
 
 
 def _on_grid(t: np.ndarray, fn, *columns):
@@ -95,9 +68,8 @@ SWEEP_POINTS = 2 ** 12
 def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
     """The output columns at the grid points ``t``, each stage run once."""
     b = _on_grid(t, lambda T: dynamics.bloch_vector(dynamics.reduced_density(amps, T)), t)
-    record = _on_grid(t, lambda T, eta: entropies.entropy_record(
-        T, eta, config.series_tol), t, b.eta)
-    values = {**vars(b), **vars(record)}
+    record = _on_grid(t, lambda e: entropies.entropy_record(e, config.series_tol), b.eta)
+    values = {**vars(b), **record}
     if quad is not None:
         values["wehrl_quadrature"] = _on_grid(t, lambda *v: husimi.wehrl_entropy_quadrature(
             dynamics.BlochVector(*v), quad), b.sx, b.sy, b.sz, b.eta)
@@ -131,7 +103,7 @@ def run_sweep(config: dynamics.SimulationConfig,
         for name in columns[1:]:
             data[name][lo:lo + part.size] = values[name]
         del values  # before the next run of points is computed
-    return SweepResult(config=config, with_oracle=with_oracle, data=data)
+    return SweepResult(config=config, data=data)
 
 
 def _row_values(result: SweepResult):

@@ -91,25 +91,21 @@ def test_criterion_3_four_route_agreement():
 
 def test_criterion_4a_initial_row(fig_sweep):
     result, elapsed = fig_sweep
-    row0 = result.rows[0]
-    ok = (abs(row0.eta - 1.0) < 1e-10
-          and row0.xi < 1e-10
-          and row0.gamma < 1e-9
-          and abs(row0.wehrl_closed - WEHRL_MIN) < 1e-6
+    d = result.data
+    ok = (abs(d["eta"][0] - 1.0) < 1e-10
+          and d["xi"][0] < 1e-10
+          and d["gamma"][0] < 1e-9
+          and abs(d["wehrl_closed"][0] - WEHRL_MIN) < 1e-6
           and elapsed < 5.0)
     report("criterion 4a: sweep row 0 is the pure product state", ok)
 
 
 def test_criterion_4b_pairwise_concordance(fig_sweep):
     result, _ = fig_sweep
-    rows = result.rows
-    ok = True
-    for a, b in zip(rows, rows[1:]):
-        signs = {np.sign(a.xi - b.xi), np.sign(a.gamma - b.gamma),
-                 np.sign(a.wehrl_closed - b.wehrl_closed)}
-        if len(signs) != 1:
-            ok = False
-            break
+    # the sign of each measure's change from one row to the next
+    xi, gamma, wehrl = (np.sign(c[:-1] - c[1:]) for c in (
+        result.data[name] for name in ("xi", "gamma", "wehrl_closed")))
+    ok = bool(np.all((xi == gamma) & (gamma == wehrl)))
     report("criterion 4b: xi, gamma, Wehrl concordant on adjacent rows", ok)
 
 
@@ -125,11 +121,11 @@ def test_criterion_4c_collapse_entanglement(fig_sweep):
     # on that window (5.4e-3 at T = 15).
     result, _ = fig_sweep
     two_alpha = 2.0 * result.config.alpha_mag
-    onset = max(r.xi for r in result.rows if math.sqrt(2.0) <= r.t <= 5.0)
-    window = [r for r in result.rows if 5.0 <= r.t <= 15.0]
-    worst = max(abs(r.xi - 0.5 * math.cos(r.t / two_alpha) ** 2)
-                for r in window)
-    peak = max(r.xi for r in window)
+    t, xi = result.data["t"], result.data["xi"]
+    onset = xi[(math.sqrt(2.0) <= t) & (t <= 5.0)].max()
+    window = (5.0 <= t) & (t <= 15.0)
+    worst = np.abs(xi[window] - 0.5 * np.cos(t[window] / two_alpha) ** 2).max()
+    peak = xi[window].max()
     ok = onset > 0.49 and worst < 1e-2 and peak < 0.49
     report(f"criterion 4c: xi peak {onset:.4f} > 0.49 on T in [sqrt(2), 5]; "
            f"on T in [5, 15] xi within 1e-2 of cos^2(T/{two_alpha:g})/2 "
@@ -138,8 +134,9 @@ def test_criterion_4c_collapse_entanglement(fig_sweep):
 
 def test_criterion_4d_attractor_purity_rise(fig_sweep):
     result, _ = fig_sweep
-    window = [r.eta for r in result.rows if 20.0 <= r.t <= 24.0]
-    collapse_mean = np.mean([r.eta for r in result.rows if 5.0 <= r.t <= 15.0])
+    t, eta = result.data["t"], result.data["eta"]
+    window = eta[(20.0 <= t) & (t <= 24.0)]
+    collapse_mean = np.mean(eta[(5.0 <= t) & (t <= 15.0)])
     ok = max(window) > collapse_mean
     report(f"criterion 4d: eta peak {max(window):.4f} in T in [20, 24] "
            f"exceeds collapse mean {collapse_mean:.4f}", ok)

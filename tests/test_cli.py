@@ -25,38 +25,37 @@ class TestRunSweep:
     def test_vacuum_orbit(self):
         cfg = SimulationConfig(alpha_mag=0.0, t_start=0.0, t_end=math.pi, t_steps=3)
         res = run_sweep(cfg)
-        ts = [r.t for r in res.rows]
-        assert ts == pytest.approx([0.0, math.pi / 2, math.pi])
-        for row in res.rows:
-            assert row.eta == pytest.approx(abs(math.cos(2 * row.t)), abs=1e-12)
+        t = res.data["t"]
+        assert t.tolist() == pytest.approx([0.0, math.pi / 2, math.pi])
+        assert res.data["eta"] == pytest.approx(np.abs(np.cos(2 * t)), abs=1e-12)
 
     def test_row_count_and_ordering(self, small_sweep):
-        assert len(small_sweep.rows) == 20
-        ts = [r.t for r in small_sweep.rows]
+        assert all(column.shape == (20,) for column in small_sweep.data.values())
+        ts = small_sweep.data["t"].tolist()
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
 
     def test_rows_within_bounds(self, small_sweep):
-        for row in small_sweep.rows:
-            assert 0.0 <= row.xi <= 0.5
-            assert 0.0 <= row.gamma <= math.log(2) + 1e-12
-            assert abs(row.wehrl_closed - row.wehrl_series) < 1e-9
-            assert row.eta ** 2 == pytest.approx(
-                row.sx ** 2 + row.sy ** 2 + row.sz ** 2, abs=1e-12)
+        d = small_sweep.data
+        assert np.all((0.0 <= d["xi"]) & (d["xi"] <= 0.5))
+        assert np.all((0.0 <= d["gamma"]) & (d["gamma"] <= math.log(2) + 1e-12))
+        assert np.all(np.abs(d["wehrl_closed"] - d["wehrl_series"]) < 1e-9)
+        assert d["eta"] ** 2 == pytest.approx(
+            d["sx"] ** 2 + d["sy"] ** 2 + d["sz"] ** 2, abs=1e-12)
 
     def test_oracle_column(self):
         cfg = SimulationConfig(alpha_mag=1.0, t_end=2.0, t_steps=4,
                                quad_theta_order=128, quad_phi_order=256)
         res = run_sweep(cfg, with_oracle=True)
         assert res.columns == ORACLE_COLUMNS
-        for row in res.rows:
-            assert abs(row.wehrl_quadrature - row.wehrl_closed) < 1e-8
+        spread = np.abs(res.data["wehrl_quadrature"] - res.data["wehrl_closed"])
+        assert np.all(spread < 1e-8)
 
     def test_degenerate_grid(self):
         cfg = SimulationConfig(alpha_mag=1.0, t_start=3.0, t_end=3.0, t_steps=1)
         res = run_sweep(cfg)
-        assert len(res.rows) == 1
-        assert res.rows[0].t == 3.0
+        assert all(column.shape == (1,) for column in res.data.values())
+        assert res.data["t"][0] == 3.0
 
 
 class TestEmit:
@@ -65,16 +64,16 @@ class TestEmit:
         emit(small_sweep, format="csv", path=str(out))
         lines = out.read_text().splitlines()
         assert lines[0] == BASE_HEADER
-        assert len(lines) == 1 + len(small_sweep.rows)
+        assert len(lines) == 1 + small_sweep.data["t"].size
 
     def test_csv_round_trip(self, small_sweep, tmp_path):
         out = tmp_path / "sweep.csv"
         emit(small_sweep, format="csv", path=str(out))
         lines = out.read_text().splitlines()[1:]
-        for line, row in zip(lines, small_sweep.rows):
+        for k, line in enumerate(lines):
             values = [float(v) for v in line.split(",")]
             for value, col in zip(values, BASE_COLUMNS):
-                assert value == getattr(row, col)  # bitwise at 17 sig digits
+                assert value == small_sweep.data[col][k]  # bitwise at 17 sig digits
 
     def test_structured_carries_config(self, small_sweep, tmp_path):
         out = tmp_path / "sweep.json"
@@ -82,8 +81,8 @@ class TestEmit:
         payload = json.loads(out.read_text())
         assert payload["config"]["alpha_mag"] == 2.0
         assert payload["columns"] == list(BASE_COLUMNS)
-        assert payload["rows"][0][0] == small_sweep.rows[0].t
-        assert len(payload["rows"]) == len(small_sweep.rows)
+        assert payload["rows"][0][0] == small_sweep.data["t"][0]
+        assert len(payload["rows"]) == small_sweep.data["t"].size
 
     def test_bad_destination(self, small_sweep, tmp_path):
         with pytest.raises(OSError):
@@ -116,6 +115,16 @@ class TestMain:
     def test_invalid_config_exits_2(self, capsys):
         assert main(["--alpha-mag", "-3"]) == 2
         assert "argument error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle", [[], ["--with-oracle"]])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--quad-theta", "1", "theta_order must be >= 2, got 1"),
+        ("--quad-phi", "2", "phi_order must be >= 4, got 2"),
+        ("--quad-phi", "3", "phi_order must be >= 4, got 3")])
+    def test_invalid_quadrature_order_exits_2(self, flag, value, message, oracle, capsys):
+        # refused as an argument, whether or not the oracle runs
+        assert main(["--alpha-mag", "1", flag, value] + oracle) == 2
+        assert f"argument error: {message}" in capsys.readouterr().err
 
     def test_domain_violation_exits_1(self, monkeypatch, capsys):
         def boom(config, with_oracle=False):

@@ -11,6 +11,7 @@ from jcm_entropy import (
     AtomicDensityMatrix,
     DomainError,
     SimulationConfig,
+    SphereQuadrature,
     bloch_vector,
     coherent_amplitudes,
     reduced_density,
@@ -558,3 +559,23 @@ class TestSimulationConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("alpha_mag", -1.0), ("alpha_mag", float("nan")), ("alpha_mag", float("inf")),
+        ("alpha_phase", float("inf")),
+        ("fock_tail_tol", 0.0), ("fock_tail_tol", 1.0), ("fock_tail_tol", float("nan")),
+        ("quad_theta_order", 1), ("quad_phi_order", 3)])
+    def test_checked_in_one_place(self, name, value):
+        # the config and the routine that takes the input give the same error
+        kwargs = {"alpha_mag": 1.0, "alpha_phase": 0.0, "fock_tail_tol": 1e-12,
+                  "quad_theta_order": 64, "quad_phi_order": 128, name: value}
+        with pytest.raises(DomainError) as from_config:
+            SimulationConfig(**kwargs)
+        with pytest.raises(DomainError) as from_routine:
+            if name.startswith("quad_"):
+                SphereQuadrature(kwargs["quad_theta_order"], kwargs["quad_phi_order"])
+            else:
+                coherent_amplitudes(kwargs["alpha_mag"], kwargs["alpha_phase"],
+                                    kwargs["fock_tail_tol"])
+        assert str(from_config.value) == str(from_routine.value)
+        assert str(from_config.value).startswith(name.removeprefix("quad_"))

@@ -213,12 +213,12 @@ class TestMonotonicityAndBounds:
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=300, deadline=None)
     def test_record_consistency(self, eta):
-        rec = entropy_record(0.0, eta)
-        assert abs(rec.wehrl_closed - rec.wehrl_series) < 1e-9
-        assert 0.0 <= rec.xi <= 0.5
-        assert 0.0 <= rec.gamma <= LN2 + 1e-12
-        assert -1e-12 <= rec.gamma_norm <= 1.0 + 1e-12
-        assert -1e-9 <= rec.wehrl_norm <= 1.0 + 1e-9
+        rec = entropy_record(eta)
+        assert abs(rec["wehrl_closed"] - rec["wehrl_series"]) < 1e-9
+        assert 0.0 <= rec["xi"] <= 0.5
+        assert 0.0 <= rec["gamma"] <= LN2 + 1e-12
+        assert -1e-12 <= rec["gamma_norm"] <= 1.0 + 1e-12
+        assert -1e-9 <= rec["wehrl_norm"] <= 1.0 + 1e-9
 
 
 class TestSeriesIdentities:
@@ -275,9 +275,8 @@ class TestSeriesTolerance:
     @pytest.mark.parametrize("route", [von_neumann_series, wehrl_entropy_series,
                                        wehrl_entropy_closed, entropy_record])
     def test_rejected_by_every_route(self, route, tol):
-        args = (0.0, 0.5) if route is entropy_record else (0.5,)
         with pytest.raises(DomainError, match=r"series_tol must lie in \(0, 1\)"):
-            route(*args, series_tol=tol)
+            route(0.5, series_tol=tol)
 
     @pytest.mark.parametrize("tol", BAD)
     def test_rejected_by_config(self, tol):
@@ -354,15 +353,19 @@ class TestArrayPath:
 
     def test_record_and_normalized(self):
         etas = np.array(self.ETAS)
-        rec = entropy_record(etas, etas)
+        rec = entropy_record(etas)
+        assert list(rec) == ["xi", "gamma", "wehrl_closed", "wehrl_series",
+                             "gamma_norm", "wehrl_norm"]
         for i, eta in enumerate(self.ETAS):
-            point = entropy_record(float(eta), float(eta))
-            for name, value in vars(point).items():
+            point = entropy_record(float(eta))
+            assert list(point) == list(rec)
+            for name, value in point.items():
                 assert type(value) is float
-                got = getattr(rec, name)[i]
+                got = rec[name][i]
                 assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value)))
-        g, w = normalized_entropies(rec.gamma, rec.wehrl_closed)
-        assert np.array_equal(g, rec.gamma_norm) and np.array_equal(w, rec.wehrl_norm)
+        g, w = normalized_entropies(rec["gamma"], rec["wehrl_closed"])
+        assert np.array_equal(g, rec["gamma_norm"])
+        assert np.array_equal(w, rec["wehrl_norm"])
 
     def test_zero_d_array_gives_float(self):
         assert type(wehrl_entropy_closed(np.float64(0.5))) is float

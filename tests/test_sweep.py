@@ -15,7 +15,6 @@ from jcm_entropy import (
     DomainError,
     SimulationConfig,
     SweepResult,
-    SweepRow,
     SphereQuadrature,
     bloch_vector,
     coherent_amplitudes,
@@ -44,8 +43,7 @@ def pointwise_sweep(config, with_oracle=False):
     rows = []
     for t in np.linspace(config.t_start, config.t_end, config.t_steps).tolist():
         b = bloch_vector(reduced_density(amps, t))
-        rec = entropy_record(t, b.eta, config.series_tol)
-        values = {"sx": b.sx, "sy": b.sy, "sz": b.sz, **vars(rec)}
+        values = {"t": t, **vars(b), **entropy_record(b.eta, config.series_tol)}
         if with_oracle:
             values["wehrl_quadrature"] = wehrl_entropy_quadrature(b, quad)
         rows.append([values[name] for name in columns])
@@ -78,7 +76,7 @@ class TestPointwiseParity:
     def test_single_point(self):
         config = SimulationConfig(alpha_mag=2.0, t_start=1.5, t_end=1.5, t_steps=1)
         result = assert_matches_pointwise(config)
-        assert result.rows[0].t == 1.5
+        assert result.data["t"].tolist() == [1.5]
 
     def test_with_oracle(self):
         config = SimulationConfig(alpha_mag=3.0, alpha_phase=-1.0, t_end=20.0,
@@ -91,17 +89,6 @@ class TestColumnarResult:
         assert ORACLE_COLUMNS == ("t", "sx", "sy", "sz", "eta", "xi", "gamma",
                                   "wehrl_closed", "wehrl_series", "wehrl_quadrature",
                                   "gamma_norm", "wehrl_norm")
-
-    def test_rows_view(self):
-        result = run_sweep(SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=9))
-        rows = result.rows
-        assert rows is result.rows  # built once
-        assert len(rows) == 9 and all(isinstance(r, SweepRow) for r in rows)
-        for i, row in enumerate(rows):
-            assert row.wehrl_quadrature is None
-            for name in BASE_COLUMNS:
-                value = getattr(row, name)
-                assert type(value) is float and value == result.data[name][i]
 
     def test_one_kernel_call_per_sweep(self, monkeypatch):
         calls = []
@@ -136,7 +123,7 @@ class TestColumnarResult:
         special = [-0.0, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1, 1e300]
         data = {name: np.array([special[(i + k) % len(special)] for k in range(3)])
                 for i, name in enumerate(BASE_COLUMNS)}
-        result = SweepResult(config=config, with_oracle=False, data=data)
+        result = SweepResult(config=config, data=data)
         payload = {"config": dataclasses.asdict(config), "columns": list(BASE_COLUMNS),
                    "rows": [[float(data[name][k]) for name in BASE_COLUMNS]
                             for k in range(3)]}

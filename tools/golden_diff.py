@@ -7,11 +7,13 @@ Each tree is a checkout of this repository (its ``src/`` is put on
 trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
 |alpha| = 200 out to 1.1 revival times (a large basis on the spectral
 route of ``reduced_density``), a one-point grid, a grid starting next to
-the pure state, and the oracle column as CSV and JSON.  For each column the worst absolute difference and
-the worst difference in units in the last place (ulp, of the larger of the
-two values) are printed, with the config and eta where the ulp worst
-occurs, and the worst ulp over the rows with eta <= 0.99 alone (above it
-the Wehrl closed form and the normalized columns are steep in eta).  The
+the pure state, and the oracle column as CSV and JSON.  For each column the
+worst absolute difference and the worst difference in units in the last
+place are printed, with the config and eta where the ulp worst occurs.  An
+ulp is that of the column's scale in the config, its largest finite |value|
+in either tree, so a value that crosses zero counts by its size.  The worst
+ulp over the rows with eta <= 0.99 alone is printed too (above it the
+Wehrl closed form and the normalized columns are steep in eta).  The
 exit status is 1 when the runs differ in header, row count, exit code or
 error text, and 0 otherwise, whatever the values.
 """
@@ -77,12 +79,14 @@ def parse(text: str, structured: bool) -> tuple[list[str], np.ndarray]:
 
 
 def differences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute and ulp differences; equal values (NaN with NaN) give 0."""
+    """Absolute differences of two columns, and in ulps of the columns'
+    largest finite |value|; equal values (NaN with NaN) give 0."""
     same = (a == b) | (np.isnan(a) & np.isnan(b))
+    magnitude = np.abs(np.concatenate([a, b]))
+    scale = np.spacing(magnitude[np.isfinite(magnitude)].max(initial=0.0))
     with np.errstate(invalid="ignore"):
         absolute = np.where(same, 0.0, np.abs(a - b))
-        ulp = absolute / np.spacing(np.maximum(np.abs(a), np.abs(b)))
-    return absolute, ulp
+    return absolute, absolute / scale
 
 
 def main(argv=None) -> int:

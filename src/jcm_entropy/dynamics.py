@@ -111,10 +111,6 @@ class FockAmplitudes:
         n = np.arange(self.n_min, self.n_max + 1)
         return self.weights * np.exp(1j * self.phase * n)
 
-    @property
-    def norm_squared(self) -> float:
-        return math.fsum((self.weights * self.weights).tolist())
-
 
 @dataclass(frozen=True)
 class AtomicDensityMatrix:

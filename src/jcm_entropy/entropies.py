@@ -8,7 +8,8 @@ independent power series (the Wehrl oracle routes are in ``husimi``):
 * atomic Wehrl entropy  W_a,                              range [ln(2pi)+1/2, ln(4pi)]
 
 All of them depend on the Bloch vector only through its length eta, which
-is what makes cross-route checking possible.
+is what makes cross-route checking possible.  The closed forms call no
+series, so the two routes are independent at every eta.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
 WEHRL_SPAN = LN2 - 0.5                           # ln(4pi) - WEHRL_MIN
 
-_CLOSED_FORM_MIN_ETA = 1e-3   # below this the closed form cancels badly
-_CANCELLING_ETA = 0.99        # above this 1 - eta*eta cancels
 _MAX_TERMS = 10 ** 6
 _BLOCK_ELEMENTS = 2 ** 13   # series terms held at once
 _FIRST_BLOCK = 8            # terms per point in a batch's first block
@@ -129,32 +128,23 @@ def wehrl_entropy_series(eta, series_tol: float = 1e-14):
         eta, lambda n: 2 * n * (2 * n - 1) * (2 * n + 1), series_tol))
 
 
-def wehrl_entropy_closed(eta, series_tol: float = 1e-14):
+def wehrl_entropy_closed(eta):
     """Atomic Wehrl entropy in closed form.
 
-    W(eta) = 1/2 + ln(4pi) - ln(1-eta^2)/2 + (eta + 1/eta)/4 * ln[(1-eta)/(1+eta)]
+    W(eta) = 1/2 + ln(4pi) - ln[(1-eta)(1+eta)]/2 - (1 + eta^2) artanh(eta)/(2 eta)
 
-    The expression is singular at both ends of [0, 1]: near eta = 0 it
-    cancels catastrophically, so those points are delegated to the series;
-    at eta = 1 exactly the analytic limit ln(2pi) + 1/2 is returned.  Near
-    eta = 1, 1 - eta*eta cancels, so above eta = 0.99 1 - eta^2 is taken
-    as (1 - eta)(1 + eta), whose factor 1 - eta is exact there; up to 0.99,
-    1 - eta*eta is good to 6e-15 relative and is used as it is.  The error
-    stays within a few 1e-15 up to eta = 1.  ``series_tol`` is checked
-    whether or not a point falls below eta = 1e-3.
+    One expression for 0 < eta < 1, with the exact ends W(0) = ln(4pi) and
+    W(1) = ln(2pi) + 1/2.  ``np.arctanh`` is good to rounding and
+    artanh(eta)/eta stays near 1 as eta -> 0, so nothing is amplified by
+    1/eta there, not even for subnormal eta; 1 - eta is exact near eta = 1.
+    The error stays within a few 1e-15 on all of [0, 1].
     """
-    _check_tolerance("series_tol", series_tol)
     eta = _check_eta(eta)
-    out = np.full(eta.shape, WEHRL_MIN)
-    small = eta < _CLOSED_FORM_MIN_ETA
-    if np.any(small):
-        out[small] = wehrl_entropy_series(eta[small], series_tol)
-    mid = ~small & (eta < 1.0)
-    e = eta[mid]
-    out[mid] = (0.5 + LN4PI
-                - 0.5 * np.log(np.where(e <= _CANCELLING_ETA, 1.0 - e * e,
-                                        (1.0 - e) * (1.0 + e)))
-                + 0.25 * (e + 1.0 / e) * np.log((1.0 - e) / (1.0 + e)))
+    out = np.where(eta == 0.0, LN4PI, WEHRL_MIN)
+    inner = (eta > 0.0) & (eta < 1.0)
+    e = eta[inner]
+    out[inner] = (0.5 + LN4PI) - 0.5 * (np.log((1.0 - e) * (1.0 + e))
+                                        + (1.0 + e * e) * (np.arctanh(e) / e))
     return _item(out)
 
 
@@ -174,7 +164,7 @@ def entropy_record(eta, series_tol: float = 1e-14) -> dict:
     shape of ``eta``, and a scalar ``eta`` gives Python floats.
     """
     gamma = von_neumann_entropy(eta)
-    w_closed = wehrl_entropy_closed(eta, series_tol)
+    w_closed = wehrl_entropy_closed(eta)
     gamma_norm, wehrl_norm = normalized_entropies(gamma, w_closed)
     return {"xi": linear_entropy(eta), "gamma": gamma, "wehrl_closed": w_closed,
             "wehrl_series": wehrl_entropy_series(eta, series_tol),

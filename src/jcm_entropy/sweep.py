@@ -31,9 +31,9 @@ class SweepResult:
         return tuple(self.data)
 
 
-def _on_grid(t: np.ndarray, fn, *columns):
-    """``fn(*columns)`` for the grid points ``t``; a DomainError names the
-    first failing T, as ``at T = <t>: ...``.
+def _on_grid(t: np.ndarray, fn):
+    """``fn(t)`` for the grid points ``t``; a DomainError names the first
+    failing T, as ``at T = <t>: ...``.
 
     On failure the failing point is found by halving: ``fn`` runs on the
     first half of the range that holds it, which holds it if that run
@@ -41,20 +41,20 @@ def _on_grid(t: np.ndarray, fn, *columns):
     message.  If it passes alone, the original error is raised.
     """
     try:
-        return fn(*columns)
+        return fn(t)
     except DomainError as exc:
         error = exc
     lo, hi = 0, t.size  # the first failing point lies in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            fn(*(col[lo:mid] for col in columns))
+            fn(t[lo:mid])
         except DomainError:
             hi = mid
         else:
             lo = mid
     try:
-        fn(*(col[lo:hi] for col in columns))
+        fn(t[lo:hi])
     except DomainError as exc:
         raise DomainError(f"at T = {t[lo].item()!r}: {exc}") from exc
     raise error
@@ -67,12 +67,10 @@ SWEEP_POINTS = 2 ** 12
 
 def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
     """The output columns at the grid points ``t``, each stage run once."""
-    b = _on_grid(t, lambda T: dynamics.bloch_vector(dynamics.reduced_density(amps, T)), t)
-    record = _on_grid(t, lambda e: entropies.entropy_record(e, config.series_tol), b.eta)
-    values = {**vars(b), **record}
+    b = dynamics.bloch_vector(dynamics.reduced_density(amps, t))
+    values = {**vars(b), **entropies.entropy_record(b.eta, config.series_tol)}
     if quad is not None:
-        values["wehrl_quadrature"] = _on_grid(t, lambda *v: husimi.wehrl_entropy_quadrature(
-            dynamics.BlochVector(*v), quad), b.sx, b.sy, b.sz, b.eta)
+        values["wehrl_quadrature"] = husimi.wehrl_entropy_quadrature(b, quad)
     return values
 
 
@@ -85,7 +83,7 @@ def run_sweep(config: dynamics.SimulationConfig,
     vector, the entropies and, when ``with_oracle`` is set, the slow
     spherical quadrature are each computed at once, into columns allocated
     for the whole grid.  A DomainError names the first grid point at which
-    the failing stage fails.
+    any stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -99,7 +97,7 @@ def run_sweep(config: dynamics.SimulationConfig,
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
     for lo in range(0, t.size, SWEEP_POINTS):
         part = t[lo:lo + SWEEP_POINTS]
-        values = _stages(part, amps, config, quad)
+        values = _on_grid(part, lambda T: _stages(T, amps, config, quad))
         for name in columns[1:]:
             data[name][lo:lo + part.size] = values[name]
         del values  # before the next run of points is computed

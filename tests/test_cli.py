@@ -107,6 +107,17 @@ class TestMain:
         assert main(self.ARGS + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_series_tol_flag_reaches_series_column(self, tmp_path):
+        a, b = tmp_path / "default.csv", tmp_path / "loose.csv"
+        assert main(self.ARGS + ["--output", str(a)]) == 0
+        assert main(self.ARGS + ["--series-tol", "1e-4", "--output", str(b)]) == 0
+        tight = np.loadtxt(a, delimiter=",", skiprows=1)
+        loose = np.loadtxt(b, delimiter=",", skiprows=1)
+        series = BASE_COLUMNS.index("wehrl_series")
+        assert np.any(tight[:, series] != loose[:, series])
+        others = [k for k in range(len(BASE_COLUMNS)) if k != series]
+        assert np.array_equal(tight[:, others], loose[:, others])
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["--t-end", "5"])

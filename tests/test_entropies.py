@@ -124,8 +124,29 @@ class TestWehrl:
                        + (e + 1 / e) / 4 * mpmath.log((1 - e) / (1 + e)))
                 assert abs(w - ref) <= 1e-14, float(1 - e)
 
-    def test_switchover_region_is_smooth(self):
-        # tiny eta goes through the series; just above, the closed form
+    def test_closed_form_on_whole_domain_against_mpmath(self):
+        # subnormal eta to 1 - 1e-16: 1/eta must not be formed, and the
+        # cancellation near eta = 1e-3 must not be amplified
+        rng = np.random.default_rng(8)
+        eta = np.concatenate([[0.0, 5e-324, 1e-310], np.logspace(-300, 0, 2000),
+                              1.0 - np.logspace(-16, -0.3, 2000),
+                              rng.uniform(0.0, 1.0, 2000), [1.0]])
+        got = wehrl_entropy_closed(eta)
+        with mpmath.workdps(50):
+            ln4pi = mpmath.log(4 * mpmath.pi)
+            for e, w in zip(eta.tolist(), got.tolist()):
+                e = mpmath.mpf(e)
+                if e == 0:
+                    ref = ln4pi
+                elif e == 1:
+                    ref = mpmath.log(2 * mpmath.pi) + 0.5
+                else:
+                    ref = (0.5 + ln4pi - mpmath.log(1 - e * e) / 2
+                           - (1 + e * e) * mpmath.atanh(e) / (2 * e))
+                assert abs(w - ref) <= 5e-15, float(e)
+
+    def test_closed_form_against_series_at_small_eta(self):
+        # both routes are evaluated independently at every eta
         for eta in (1e-6, 1e-4, 9e-4, 1.1e-3, 2e-3):
             assert abs(wehrl_entropy_closed(eta)
                        - wehrl_entropy_series(eta)) < 1e-12
@@ -273,7 +294,7 @@ class TestSeriesTolerance:
 
     @pytest.mark.parametrize("tol", BAD)
     @pytest.mark.parametrize("route", [von_neumann_series, wehrl_entropy_series,
-                                       wehrl_entropy_closed, entropy_record])
+                                       entropy_record])
     def test_rejected_by_every_route(self, route, tol):
         with pytest.raises(DomainError, match=r"series_tol must lie in \(0, 1\)"):
             route(0.5, series_tol=tol)
@@ -283,10 +304,13 @@ class TestSeriesTolerance:
         with pytest.raises(DomainError, match=r"series_tol must lie in \(0, 1\)"):
             SimulationConfig(alpha_mag=1.0, series_tol=tol)
 
-    def test_closed_form_checks_it_without_series_points(self):
-        # no eta below 1e-3, so the series is never reached
-        with pytest.raises(DomainError, match="series_tol"):
-            wehrl_entropy_closed(np.array([0.5, 0.9]), series_tol=float("inf"))
+    def test_reaches_the_series_column_only(self):
+        eta = np.array([0.3, 0.7, 0.99])
+        loose, tight = entropy_record(eta, series_tol=1e-3), entropy_record(eta)
+        assert np.all(loose["wehrl_series"] != tight["wehrl_series"])
+        assert np.all(np.abs(loose["wehrl_series"] - tight["wehrl_series"]) < 1e-3)
+        for name in tight.keys() - {"wehrl_series"}:
+            assert np.array_equal(loose[name], tight[name])
 
     def test_infinite_tolerance_no_longer_stops_after_one_term(self):
         # series_tol = inf used to stop after the first term: 2.4893576
@@ -327,7 +351,7 @@ def loop_series(eta, denom, tol=1e-14):
 class TestArrayPath:
     """Each function on an array against the same function point by point."""
 
-    ETAS = [0.0, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0),
+    ETAS = [0.0, 5e-324, 1e-310, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0),
             np.nextafter(1.0 - 1e-8, 0.0), 1.0 - 1e-8, np.nextafter(1.0 - 1e-8, 1.0),
             1.0]
     EXACT = (linear_entropy, von_neumann_series, wehrl_entropy_series)

@@ -203,24 +203,33 @@ class TestErrorContract:
             return T
 
         with pytest.raises(DomainError, match="^too many points$"):
-            _on_grid(t, stage, t)
+            _on_grid(t, stage)
 
     @pytest.fixture
     def outside_ball(self, monkeypatch):
         """Bloch components stretched by 1.5 from grid point 70 on (of 101).
 
-        eta is left as it is, so only the quadrature sees the fault.
+        eta is left as it is, so only the quadrature sees the fault.  The
+        stretch is keyed on T, since the search for the failing point
+        re-runs the stages on sub-ranges of the grid.
         """
-        real = dynamics.bloch_vector
+        real_density, real_bloch = dynamics.reduced_density, dynamics.bloch_vector
+        first_bad = np.linspace(0.0, 1.0, 101)[70]
+        times = []
+
+        def recorded(amps, T):
+            times.append(np.asarray(T))
+            return real_density(amps, T)
 
         def stretched(rho):
-            b = real(rho)
-            scale = np.where(np.arange(np.size(b.sz)) >= 70, 1.5, 1.0)
+            b = real_bloch(rho)
+            scale = np.where(times[-1] >= first_bad, 1.5, 1.0)
             return dataclasses.replace(b, sx=b.sx * scale, sy=b.sy * scale,
                                        sz=b.sz * scale)
 
+        monkeypatch.setattr(dynamics, "reduced_density", recorded)
         monkeypatch.setattr(dynamics, "bloch_vector", stretched)
-        return np.linspace(0.0, 1.0, 101)[70].item()
+        return first_bad.item()
 
     def test_negative_q_names_first_t_in_a_later_block(self, outside_ball):
         rows = QUAD_ELEMENTS // (16 * 32)

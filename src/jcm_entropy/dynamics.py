@@ -218,6 +218,7 @@ SPECTRAL_BLOCK = 2 ** 12
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # a uniform grid lies within this of T[0] + j*h
 _SPECTRAL_MAX_T = 1e300  # the exact products overflow above about 1.3e300
+_PHASE_LIMIT = 2.0 ** 53  # a phase's ulp is 2 radians or more from here on
 _HALF_WIDTH = 16         # Gaussian half-width, in cells of the 2x grid
 _SPREAD_ELEMENTS = 2 ** 12  # kernel values spread at once
 _SPLITTER = 2.0 ** 27 + 1.0
@@ -415,6 +416,10 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     sums' change, while T*sqrt(n_max+1) stays below 1e9; at the anchors it
     equals the direct route.  A scalar, a non-uniform array or
     a short grid takes the direct route.
+
+    A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
+    phase's ulp is 2 radians and the direct sums (the spectral route's
+    anchors included) keep no digit, is refused with a DomainError.
     """
     T = np.asarray(T, dtype=float)
     _require_finite("T", T)
@@ -422,10 +427,18 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     n1 = np.arange(amps.n_min + 1.0, amps.n_max + 2.0)
     root = np.sqrt(n1)
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(T * root[-1])
+        phase = np.abs(T) * root[-1]
+    bad = ~np.isfinite(phase)
     if np.any(bad):
         raise DomainError(f"Rabi phase T*sqrt(n+1) overflows for T = {_first(T, bad)!r}, "
                           f"n = {amps.n_max}")
+    bad = phase >= _PHASE_LIMIT
+    if np.any(bad):
+        worst = _first(phase, bad)
+        raise DomainError(
+            f"Rabi phase T*sqrt(n+1) = {worst!r} for T = {_first(T, bad)!r}, "
+            f"n = {amps.n_max} has an ulp of {math.ulp(worst)!r}: its cosine and sine "
+            f"keep no digit (refused from 2**53 on)")
     p = w * w
     q = w[1:] * w[:-1]
     h = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -109,11 +108,20 @@ def _row_values(result: SweepResult):
     return zip(*(result.data[name].tolist() for name in result.columns))
 
 
-def _render_csv(result: SweepResult) -> str:
-    row_format = ",".join(["%.17g"] * len(result.columns))
-    lines = [",".join(result.columns)]
-    lines.extend(row_format % row for row in _row_values(result))
-    return "\n".join(lines) + "\n"
+def _render_csv(result: SweepResult) -> list[bytes]:
+    """The CSV text as bytes: the header, then the rows ``_g17.BLOCK``
+    values at a time, each value ``"%.17g" % x`` byte for byte."""
+    from . import _g17  # loaded only when a CSV is rendered: not on import
+
+    columns = [result.data[name] for name in result.columns]
+    ends = np.full(len(columns), ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    rows = max(1, _g17.BLOCK // len(columns))
+    parts = [(",".join(result.columns) + "\n").encode()]
+    for lo in range(0, columns[0].size, rows):
+        block = np.stack([column[lo:lo + rows] for column in columns], axis=1)
+        parts.append(_g17.render(block, ends))
+    return parts
 
 
 def _render_structured(result: SweepResult) -> str:
@@ -137,20 +145,27 @@ def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> N
     """Write a sweep as CSV or structured JSON, to a path or stdout.
 
     The text is rendered fully before any byte reaches the destination, so
-    a failure can never leave a header without rows behind.
+    a failure can never leave a header without rows behind.  It is written
+    as bytes: to the binary buffer under ``sys.stdout`` (after flushing the
+    text layer), or as text to a stdout that has none.
     """
     if format == "csv":
-        text = _render_csv(result)
+        parts = _render_csv(result)
     elif format == "structured":
-        text = _render_structured(result)
+        parts = [_render_structured(result).encode()]
     else:
         raise ValueError(f"unknown format {format!r}")
 
     if path is None:
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(b"".join(parts).decode())
+        else:
+            sys.stdout.flush()
+            buffer.writelines(parts)
         return
     try:
-        with io.open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc

@@ -150,6 +150,18 @@ class TestMain:
         assert ("at T = 5e+307: Rabi phase T*sqrt(n+1) overflows"
                 in capsys.readouterr().err)
 
+    def test_phase_without_digits_exits_1(self, capsys):
+        # T*sqrt(n+1) >= 2**53: every digit of the phase is lost, not just
+        # the ones the direct route's stated error allows
+        args = ["--alpha-mag", "7", "--t-start", "1e300", "--t-end", "1e301",
+                "--t-steps", "3"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("at T = 1e+300: Rabi phase T*sqrt(n+1) = 1.1832159566199233e+301 "
+                "for T = 1e+300, n = 139 has an ulp of 2.379227053564453e+285"
+                in captured.err)
+
     def test_large_alpha(self, tmp_path):
         # |alpha| >= 39 underflowed exp(-|alpha|^2/2) in the old recurrence
         out = tmp_path / "a45.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import types
 
 import mpmath
@@ -283,6 +284,19 @@ class TestReducedDensity:
                                               r"for T = 5e\+307, n = 44"):
             reduced_density(amps, np.array([0.0, 5e307, 1e308]))
 
+    def test_rejects_phase_without_digits(self):
+        # from T*sqrt(n_max+1) = 2**53 on, a phase's ulp is 2 radians
+        amps = coherent_amplitudes(7.0, 0.0, 1e-12)
+        below, above = phase_digit_limit(amps)
+        rho = reduced_density(amps, below)
+        assert math.isfinite(rho.rho_ee) and cmath.isfinite(rho.rho_eg)
+        message = (f"Rabi phase T*sqrt(n+1) = 9007199254740992.0 for T = {above!r}, "
+                   f"n = {amps.n_max} has an ulp of 2.0")
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            reduced_density(amps, above)
+        with pytest.raises(DomainError, match=r"has an ulp of 2\.0"):
+            reduced_density(amps, np.array([0.0, -above]))
+
     def test_rejects_nonfinite_time(self):
         amps = coherent_amplitudes(1.0, 0.0, 1e-12)
         with pytest.raises(DomainError):
@@ -303,6 +317,17 @@ class TestReducedDensity:
             b_t = bloch_vector(rho_t)
             assert (b.sx[i], b.sy[i], b.sz[i], b.eta[i]) == \
                 (b_t.sx, b_t.sy, b_t.sz, b_t.eta)
+
+
+def phase_digit_limit(amps):
+    """The largest T with T*sqrt(n_max+1) below 2**53, and the next float."""
+    root = math.sqrt(amps.n_max + 1)
+    T = 2.0 ** 53 / root
+    while T * root >= 2.0 ** 53:
+        T = math.nextafter(T, 0.0)
+    above = math.nextafter(T, math.inf)
+    assert above * root >= 2.0 ** 53
+    return T, above
 
 
 def pointwise_density(amps, T):
@@ -481,6 +506,17 @@ class TestSpectralRoute:
         assert spectral_calls == []
         for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), pointwise_density(amps, T)):
             assert np.array_equal(got, want)
+
+    def test_phase_digit_limit_on_a_grid(self, spectral_calls):
+        # the spectral route's anchors are direct sums: refused with them
+        amps = coherent_amplitudes(7.0, 0.0, 1e-12)
+        below, above = phase_digit_limit(amps)
+        rho = reduced_density(amps, np.linspace(below - 999.0, below, 1000))
+        assert spectral_calls == [1000]
+        assert np.all(np.isfinite(rho.rho_ee)) and np.all(np.isfinite(rho.rho_eg))
+        with pytest.raises(DomainError, match=f"for T = {re.escape(repr(above))}, "
+                                              r"n = 139 has an ulp of 2\.0"):
+            reduced_density(amps, np.linspace(above - 999.0, above, 1000))
 
     def test_sweep_with_equal_ends_takes_the_direct_route(self, spectral_calls):
         result = run_sweep(SimulationConfig(alpha_mag=30.0, t_start=3.0, t_end=3.0,

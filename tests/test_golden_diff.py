@@ -24,3 +24,12 @@ def test_equal_nan_and_zero_columns_read_zero():
     a = np.array([0.0, np.nan, -0.0])
     absolute, ulp = golden_diff.differences(a, a.copy())
     assert absolute.tolist() == [0.0, 0.0, 0.0] and ulp.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_byte_check_sees_a_formatting_change():
+    # the same values in another format: the value diff reads 0 on them
+    old = b"t,x\n0,1.5\n1,2\n"
+    new = b"t,x\n0,1.5\n1,2.0\n"
+    assert golden_diff.byte_check(old, old) == "byte-identical"
+    assert golden_diff.byte_check(old, new) == \
+        "bytes differ: 1 of 4 lines, the first at line 3, sizes 14 -> 16"

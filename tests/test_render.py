@@ -1,0 +1,167 @@
+"""The array renderer of CSV values against Python's ``"%.17g" % x``, its
+oracle, byte for byte; emit's destinations; rendering's working memory."""
+
+import io
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jcm_entropy import SimulationConfig, SweepResult, _g17, emit, run_sweep
+from jcm_entropy.sweep import BASE_COLUMNS
+
+
+def percent_lines(values) -> bytes:
+    """The oracle: one ``%`` formatting per value, one value a line."""
+    return "".join("%.17g\n" % x for x in np.asarray(values).tolist()).encode()
+
+
+def assert_renders_as_percent(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _g17.render(values, ord("\n"))
+    want = percent_lines(values)
+    if got != want:
+        pairs = zip(got.split(b"\n"), want.split(b"\n"), values.tolist())
+        bad = [(x, g, w) for g, w, x in pairs if g != w]
+        pytest.fail(f"{len(bad)} values differ, first {bad[:3]}")
+
+
+def around(x, steps=4):
+    """``x`` and the ``steps`` floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_any_floats(xs):
+    assert_renders_as_percent(xs)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(9).integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    assert_renders_as_percent(bits.view(np.float64))
+
+
+def test_exact_tie_rounds_half_to_even():
+    # 3 * 2**-24 = 1.78813934326171875e-07 exactly: 18 digits ending in 5
+    assert _g17.render(np.array([3 * 2 ** -24]), ord("\n")) == b"1.7881393432617188e-07\n"
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-05])
+def test_both_sides_of_each_notation_switch(edge):
+    # the decimal exponent changes at each edge, and the notation at 1e-4
+    # and 1e17
+    values = around(edge)
+    assert_renders_as_percent(values + [-x for x in values])
+
+
+def test_notation_switches():
+    values = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e17, 0.0), 1e17]
+    assert _g17.render(np.array(values), ord(",")) == \
+        b"9.9999999999999991e-05,0.0001,99999999999999984,1e+17,"
+
+
+@pytest.mark.parametrize("edge", [1e-200, 1e200])
+def test_both_sides_of_the_array_range(edge):
+    values = around(edge)
+    assert_renders_as_percent(values + [-x for x in values])
+
+
+def test_signed_zeros_and_specials():
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+              sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+    assert _g17.render(np.array(values[:2]), ord(",")) == b"0,-0,"
+    assert_renders_as_percent(values)
+
+
+def test_powers_of_ten_and_round_numbers():
+    values = [10.0 ** j for j in range(-310, 309)] + [float(n) for n in range(-1000, 1001)]
+    assert_renders_as_percent(values + [x * 0.1 for x in values])
+
+
+def test_ends_follow_each_value():
+    values = np.array([[1.5, -2.0, 1e-7], [0.1, 3.0, 1e300]])
+    ends = np.frombuffer(b",,\n", dtype=np.uint8)
+    assert _g17.render(values, ends) == b"1.5,-2,9.9999999999999995e-08\n" \
+        b"0.10000000000000001,3,1.0000000000000001e+300\n"
+
+
+def percent_csv(result) -> bytes:
+    """The CSV text of a sweep by one ``%`` formatting per value."""
+    row = ",".join(["%.17g"] * len(result.columns))
+    rows = zip(*(result.data[name].tolist() for name in result.columns))
+    lines = [",".join(result.columns)] + [row % values for values in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    # more rows than one block of values, and a last block cut short
+    result = run_sweep(SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=3001))
+    assert result.data["t"].size * len(result.columns) > 2 * _g17.BLOCK
+    return result
+
+
+def test_csv_matches_percent_route(sweep, tmp_path):
+    out = tmp_path / "sweep.csv"
+    emit(sweep, path=str(out))
+    assert out.read_bytes() == percent_csv(sweep)
+
+
+def test_file_and_stdout_give_the_same_bytes(sweep, tmp_path, capsysbinary, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    emit(sweep, path=str(out))
+    print("before", end="")  # left in the text layer: written first
+    emit(sweep)
+    assert capsysbinary.readouterr().out == b"before" + out.read_bytes()
+    text = io.StringIO()  # a stdout with no binary buffer takes text
+    monkeypatch.setattr(sys, "stdout", text)
+    emit(sweep)
+    assert text.getvalue().encode() == out.read_bytes()
+
+
+def test_rendering_memory_is_bounded_by_the_block(tmp_path):
+    # 200000 rows, 2.2e6 values: 1.7 MiB beyond the output's 47 MB, where
+    # whole-grid (values, 26) index arrays would take 458 MB and the `%`
+    # route, holding the rows as Python strings, peaked 100 MiB beyond it
+    rows = 200_000
+    rng = np.random.default_rng(3)
+    data = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+            for name in BASE_COLUMNS}
+    result = SweepResult(SimulationConfig(alpha_mag=1.0), data)
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        emit(result, path=str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 40 * 10 ** 6
+    assert peak - size <= 1024 * _g17.BLOCK
+
+
+def test_renderer_loads_with_the_first_csv():
+    # the import of the CLI, all that an import-only start pays, leaves it out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, jcm_entropy.cli as cli; "
+            "before = 'jcm_entropy._g17' in sys.modules; "
+            "cli.main(['--alpha-mag', '1', '--t-steps', '3', '--output', sys.argv[1]]); "
+            "print(before, 'jcm_entropy._g17' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

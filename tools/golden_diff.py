@@ -13,9 +13,11 @@ place are printed, with the config and eta where the ulp worst occurs.  An
 ulp is that of the column's scale in the config, its largest finite |value|
 in either tree, so a value that crosses zero counts by its size.  The worst
 ulp over the rows with eta <= 0.99 alone is printed too (above it the
-Wehrl closed form and the normalized columns are steep in eta).  The
+Wehrl closed form and the normalized columns are steep in eta).  A line
+per config says whether the two outputs are byte-identical, which the
+value diff cannot see (a change of formatting alone reads 0 there).  The
 exit status is 1 when the runs differ in header, row count, exit code or
-error text, and 0 otherwise, whatever the values.
+error text, and 0 otherwise, whatever the values and bytes.
 """
 
 from __future__ import annotations
@@ -58,14 +60,25 @@ CONFIGS = {
 }
 
 
-def run_cli(tree: Path, args: list[str], out: Path) -> tuple[int, str, str]:
-    """Exit code, stderr and output text of one CLI run on ``tree``."""
+def run_cli(tree: Path, args: list[str], out: Path) -> tuple[int, str, bytes]:
+    """Exit code, stderr and output bytes of one CLI run on ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "jcm_entropy.cli", *args,
                            "--output", str(out)],
                           env=env, capture_output=True, text=True, check=False)
-    text = out.read_text(encoding="utf-8") if out.exists() else ""
-    return proc.returncode, proc.stderr, text
+    output = out.read_bytes() if out.exists() else b""
+    return proc.returncode, proc.stderr, output
+
+
+def byte_check(old: bytes, new: bytes) -> str:
+    """Whether two outputs are byte-identical, and if not, where they part."""
+    if old == new:
+        return "byte-identical"
+    old_lines, new_lines = old.split(b"\n"), new.split(b"\n")
+    differing = [k for k, pair in enumerate(zip(old_lines, new_lines)) if pair[0] != pair[1]]
+    first = differing[0] if differing else min(len(old_lines), len(new_lines))
+    return (f"bytes differ: {len(differing)} of {max(len(old_lines), len(new_lines))} "
+            f"lines, the first at line {first + 1}, sizes {len(old)} -> {len(new)}")
 
 
 def parse(text: str, structured: bool) -> tuple[list[str], np.ndarray]:
@@ -96,12 +109,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     mismatches = []
+    identical = 0
     worst: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
         for name, cli_args in CONFIGS.items():
             runs = [run_cli(tree, cli_args, Path(work) / f"{name}-{side}.out")
                     for side, tree in (("old", args.old_tree), ("new", args.new_tree))]
-            (old_code, old_err, old_text), (new_code, new_err, new_text) = runs
+            (old_code, old_err, old_bytes), (new_code, new_err, new_bytes) = runs
+            print(f"{name}: {byte_check(old_bytes, new_bytes)}")
+            if old_bytes == new_bytes:
+                identical += 1
             if (old_code, old_err) != (new_code, new_err):
                 mismatches.append(f"{name}: exit {old_code} -> {new_code}, "
                                   f"stderr {old_err.strip()!r} -> {new_err.strip()!r}")
@@ -110,13 +127,11 @@ def main(argv=None) -> int:
                 print(f"{name}: both exit {old_code}")
                 continue
             structured = "structured" in cli_args
-            old_cols, old = parse(old_text, structured)
-            new_cols, new = parse(new_text, structured)
+            old_cols, old = parse(old_bytes.decode(), structured)
+            new_cols, new = parse(new_bytes.decode(), structured)
             if old_cols != new_cols or old.shape != new.shape:
                 mismatches.append(f"{name}: columns or row count differ")
                 continue
-            print(f"{name}: {old.shape[0]} rows, "
-                  f"{'byte-identical' if old_text == new_text else 'values differ'}")
             for k, column in enumerate(old_cols):
                 absolute, ulp = differences(old[:, k], new[:, k])
                 eta = old[:, old_cols.index("eta")]
@@ -133,6 +148,7 @@ def main(argv=None) -> int:
     for column, w in worst.items():
         print(f"{column:<18} {w['abs']:>11.3g} {w['ulp']:>11.4g} {w['low']:>11.4g}"
               f"  {w['where']}")
+    print(f"\nbyte-identical on {identical} of {len(CONFIGS)} configs")
     for line in mismatches:
         print("MISMATCH " + line)
     return 1 if mismatches else 0

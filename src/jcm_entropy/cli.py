@@ -14,26 +14,30 @@ from .sweep import emit, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option left out is left out of the namespace too, so that every
+    # sweep default is the one SimulationConfig declares
     p = argparse.ArgumentParser(
         prog="jcm-entropy",
         description="Sweep the resonant Jaynes-Cummings entanglement entropies "
-                    "over scaled time and emit them as CSV or JSON.")
+                    "over scaled time and emit them as CSV or JSON.",
+        argument_default=argparse.SUPPRESS)
     p.add_argument("--alpha-mag", type=float, required=True,
                    help="coherent amplitude |alpha| (required)")
-    p.add_argument("--alpha-phase", type=float, default=0.0,
+    p.add_argument("--alpha-phase", type=float,
                    help="coherent phase in radians (default 0)")
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=30.0)
-    p.add_argument("--t-steps", type=int, default=3000)
-    p.add_argument("--fock-tol", type=float, default=1e-12,
+    p.add_argument("--t-start", type=float)
+    p.add_argument("--t-end", type=float)
+    p.add_argument("--t-steps", type=int)
+    p.add_argument("--fock-tol", type=float, dest="fock_tail_tol", metavar="FOCK_TOL",
                    help="Poisson tail mass allowed beyond Fock truncation")
-    p.add_argument("--series-tol", type=float, default=1e-14,
+    p.add_argument("--series-tol", type=float,
                    help="relative term size at which series are truncated")
-    p.add_argument("--quad-theta", type=int, default=64,
+    p.add_argument("--quad-theta", type=int, dest="quad_theta_order",
+                   metavar="QUAD_THETA",
                    help="Gauss-Legendre order for the oracle quadrature (>= 2)")
-    p.add_argument("--quad-phi", type=int, default=128,
+    p.add_argument("--quad-phi", type=int, dest="quad_phi_order", metavar="QUAD_PHI",
                    help="azimuthal order for the oracle quadrature (>= 4)")
-    p.add_argument("--with-oracle", action="store_true",
+    p.add_argument("--with-oracle", action="store_true", default=False,
                    help="add the (slow) spherical-quadrature Wehrl column")
     p.add_argument("--format", choices=("csv", "structured"), default="csv")
     p.add_argument("--output", default=None, metavar="PATH",
@@ -42,19 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    with_oracle, fmt, path = (args.pop(k) for k in ("with_oracle", "format", "output"))
     try:
-        config = SimulationConfig(
-            alpha_mag=args.alpha_mag, alpha_phase=args.alpha_phase,
-            t_start=args.t_start, t_end=args.t_end, t_steps=args.t_steps,
-            fock_tail_tol=args.fock_tol, series_tol=args.series_tol,
-            quad_theta_order=args.quad_theta, quad_phi_order=args.quad_phi)
+        config = SimulationConfig(**args)
     except DomainError as exc:
         print(f"jcm-entropy: argument error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = run_sweep(config, with_oracle=args.with_oracle)
-        emit(result, format=args.format, path=args.output)
+        result = run_sweep(config, with_oracle=with_oracle)
+        emit(result, format=fmt, path=path)
     except (DomainError, PrecisionLossError, OSError) as exc:
         print(f"jcm-entropy: {exc}", file=sys.stderr)
         return 1

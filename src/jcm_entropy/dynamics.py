@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,20 @@ def _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol) -> None:
     _check_tolerance("fock_tail_tol", fock_tail_tol)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """An integer (a numpy one too) of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+
+
 def _check_quad_orders(theta_order, phi_order) -> None:
     """The oracle quadrature needs at least 2 nodes in cos(theta) and 4 in phi."""
-    if theta_order < 2:
-        raise DomainError(f"theta_order must be >= 2, got {theta_order!r}")
-    if phi_order < 4:
-        raise DomainError(f"phi_order must be >= 4, got {phi_order!r}")
+    _check_count("theta_order", theta_order, 2)
+    _check_count("phi_order", phi_order, 4)
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,7 @@ class SimulationConfig:
         _check_coherent_inputs(self.alpha_mag, self.alpha_phase, self.fock_tail_tol)
         for name in ("t_start", "t_end"):
             _require_finite(name, getattr(self, name))
-        if self.t_steps < 1:
-            raise DomainError("t_steps must be a positive integer")
+        _check_count("t_steps", self.t_steps, 1)
         if self.t_end < self.t_start:
             raise DomainError("t_end must not precede t_start")
         _check_tolerance("series_tol", self.series_tol)
@@ -200,9 +208,9 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     return FockAmplitudes(weights, n_min, n_max, alpha_phase, tail_mass)
 
 
-# Rabi phases per block of times in the direct sums.  Their three buffers
-# (24 bytes a phase, 192 KiB) are allocated once per call, so the working
-# memory grows neither with the grid length nor with the number of blocks.
+# Rabi phases per block of times in the direct sums.  It bounds each
+# block's temporaries (phases, cosines, sines and products, 64 KiB each),
+# so the working memory does not grow with the grid length.
 CHUNK_ELEMENTS = 2 ** 13
 
 # The spectral route of reduced_density.  It is taken on a uniform grid of
@@ -217,8 +225,9 @@ SPECTRAL_MIN_PHASES = 2 ** 17
 SPECTRAL_BLOCK = 2 ** 12
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # a uniform grid lies within this of T[0] + j*h
-_SPECTRAL_MAX_T = 1e300  # the exact products overflow above about 1.3e300
-_PHASE_LIMIT = 2.0 ** 53  # a phase's ulp is 2 radians or more from here on
+# a phase's ulp is 2 radians or more from here on; the limit also keeps the
+# spectral route's exact products far below their overflow at about 1.3e300
+_PHASE_LIMIT = 2.0 ** 53
 _HALF_WIDTH = 16         # Gaussian half-width, in cells of the 2x grid
 _SPREAD_ELEMENTS = 2 ** 12  # kernel values spread at once
 _SPLITTER = 2.0 ** 27 + 1.0
@@ -250,30 +259,18 @@ def _two_prod(a, b):
 def _direct_sums(p, q, root, times):
     """rho_ee, rho_gg and the real coherence sum at each of ``times``.
 
-    Times are taken ``CHUNK_ELEMENTS`` phases at a time, into buffers
-    allocated once per call; each time's sums are those of a one-time call,
-    bit for bit.
+    Times are taken ``CHUNK_ELEMENTS`` phases at a time; each time's sums
+    are those of a one-time call, bit for bit.
     """
     rho_ee, rho_gg, coh = (np.empty(times.size) for _ in range(3))
     rows = max(1, min(times.size, CHUNK_ELEMENTS // root.size))
-    s, c, work = (np.empty((rows, root.size)) for _ in range(3))
     for lo in range(0, times.size, rows):
-        hi = min(lo + rows, times.size)
-        sk, ck, wk = s[:hi - lo], c[:hi - lo], work[:hi - lo]
-        np.multiply.outer(times[lo:hi], root, out=sk)
-        np.cos(sk, out=ck)
-        np.sin(sk, out=sk)
+        phase = np.multiply.outer(times[lo:lo + rows], root)
+        c, s = np.cos(phase), np.sin(phase)
         # products in the order (q*c)*s and (p*c)*c of the one-time formula
-        pair = wk[:, 1:]
-        np.multiply(q, ck[:, 1:], out=pair)
-        pair *= sk[:, :-1]
-        np.add.reduce(pair, axis=-1, out=coh[lo:hi])
-        np.multiply(p, ck, out=wk)
-        wk *= ck
-        np.add.reduce(wk, axis=-1, out=rho_ee[lo:hi])
-        np.multiply(p, sk, out=wk)
-        wk *= sk
-        np.add.reduce(wk, axis=-1, out=rho_gg[lo:hi])
+        coh[lo:lo + rows] = np.add.reduce(q * c[:, 1:] * s[:, :-1], axis=-1)
+        rho_ee[lo:lo + rows] = np.add.reduce(p * c * c, axis=-1)
+        rho_gg[lo:lo + rows] = np.add.reduce(p * s * s, axis=-1)
     return rho_ee, rho_gg, coh
 
 
@@ -286,9 +283,9 @@ def _grid_step(T: np.ndarray):
     if T.ndim != 1 or T.size < 3:
         return None
     h = (T[-1] - T[0]) / (T.size - 1)
-    reach = max(abs(T[0]), abs(T[-1]))
-    if h == 0.0 or not reach <= _SPECTRAL_MAX_T:
+    if h == 0.0:
         return None
+    reach = max(abs(T[0]), abs(T[-1]))
     off = np.abs(T - (T[0] + h * np.arange(T.size)))
     return h if off.max() <= _GRID_ULPS * np.spacing(reach) else None
 

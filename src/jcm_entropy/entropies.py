@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dynamics import ETA_TOL, _check_tolerance, _first, _item
-from .errors import DomainError
+from .errors import DomainError, PrecisionLossError
 
 LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)
@@ -69,8 +69,9 @@ def _sum_series(eta: np.ndarray, denom, series_tol: float) -> np.ndarray:
     ``np.multiply.accumulate`` and partial sums by ``np.add.accumulate``,
     which keep the order of a term-by-term loop, so every sum is the one that
     loop gives, bit for bit.  Points leave the batch once they stop; blocks
-    double in length within ``_BLOCK_ELEMENTS`` terms.  ``series_tol`` is
-    checked by the public routes.
+    double in length within ``_BLOCK_ELEMENTS`` terms.  A sum that has not
+    stopped after ``_MAX_TERMS`` terms raises PrecisionLossError, naming the
+    first such eta.  ``series_tol`` is checked by the public routes.
     """
     q = (eta * eta).ravel()
     out = np.empty_like(q)
@@ -94,9 +95,10 @@ def _sum_series(eta: np.ndarray, denom, series_tol: float) -> np.ndarray:
             out[idx[hit]] = sums[hit, stop[hit].argmax(axis=1)]
             idx, power, acc = idx[~hit], powers[~hit, -1], sums[~hit, -1]
             n0 += length
-            if n0 > _MAX_TERMS:
-                out[idx] = acc
-                break
+            if n0 > _MAX_TERMS and idx.size:
+                raise PrecisionLossError(
+                    f"series has not met series_tol = {series_tol!r} after "
+                    f"{_MAX_TERMS} terms at eta = {eta.flat[idx[0]].item()!r}")
             length *= 2
     return out.reshape(eta.shape)
 
@@ -106,7 +108,9 @@ def von_neumann_series(eta, series_tol: float = 1e-14):
 
     Serves as the independent cross-check of :func:`von_neumann_entropy`.
     The series converges too slowly at eta = 1, where the closed form is
-    exact anyway, so that endpoint is refused.
+    exact anyway, so that endpoint is refused; from about 1 - 1.8e-6 on it
+    does not meet series_tol = 1e-14 within its term cap and raises
+    PrecisionLossError.
     """
     _check_tolerance("series_tol", series_tol)
     eta = _check_eta(eta)

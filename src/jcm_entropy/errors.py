@@ -6,4 +6,5 @@ class DomainError(ValueError):
 
 
 class PrecisionLossError(ArithmeticError):
-    """A partial term grew large enough that cancellation would destroy accuracy."""
+    """A route cannot reach its accuracy: a partial term grew large enough that
+    cancellation would destroy it, or a series did not converge within its cap."""

@@ -12,14 +12,14 @@ measure) tensored with a uniform periodic rule in phi.
 
 ``wehrl_entropy_quadrature`` and ``q_normalization`` take a Bloch vector
 with scalar or 1-D array fields.  Points are taken ``QUAD_ELEMENTS`` nodes
-at a time (4 points at 64x128), into two buffers allocated once per call,
-and each point's value is that of a scalar call, bit for bit.  The node
-geometry (sin theta, cos phi, sin phi) is built once per
-:class:`SphereQuadrature`, but the oracle stays independent of the other
-routes: Q is evaluated from (sx, sy, sz) at every node for every point,
-with no use of rotational symmetry, of eta, or of the closed form or the
-series.  ``wehrl_entropy_triple_sum``, the other oracle, integrates term
-by term the expansion whose azimuthal integrals ``trig_power_integral`` gives.
+at a time (4 points at 64x128), and each point's value is that of a scalar
+call, bit for bit.  The node geometry (sin theta, cos phi, sin phi) is
+built once per :class:`SphereQuadrature`, but the oracle stays independent
+of the other routes: Q is evaluated from (sx, sy, sz) at every node for
+every point, with no use of rotational symmetry, of eta, or of the closed
+form or the series.  ``wehrl_entropy_triple_sum``, the other oracle,
+integrates term by term the expansion whose azimuthal integrals
+``trig_power_integral`` gives.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector, _check_quad_orders, _item
+from .dynamics import BlochVector, _check_count, _check_quad_orders, _item
 from .entropies import LN4PI, _check_eta, _xlogx
 from .errors import DomainError, PrecisionLossError
 
@@ -37,9 +37,9 @@ FOUR_PI = 4.0 * math.pi
 Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
 _TERM_MAGNITUDE_LIMIT = 1e15
 
-# Quadrature nodes per block of points.  The two block buffers (16 bytes a
-# node, 512 KiB) are allocated once per call; a point whose nodes exceed this
-# is still taken whole.
+# Quadrature nodes per block of points.  It bounds each block's temporaries
+# (Q and Q ln Q, 256 KiB each); a point whose nodes exceed this is still
+# taken whole.
 QUAD_ELEMENTS = 2 ** 15
 
 
@@ -83,12 +83,11 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
 
 
 def _integrate(bloch: BlochVector, quad: SphereQuadrature, integrand):
-    """The quadrature sum of ``integrand(Q, work)`` over the sphere, per point.
+    """The quadrature sum of ``integrand(Q)`` over the sphere, per point.
 
     Q at node (theta_i, phi_j) is built as
     (sx cos phi_j + sy sin phi_j) sin(theta_i)/(4 pi) + (sz mu_i + 1)/(4 pi),
-    a block of points at a time in a (points, theta, phi) buffer;
-    ``integrand`` returns Q itself or ``work`` filled from it.
+    a block of points at a time as a (points, theta, phi) array.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -97,33 +96,30 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, integrand):
     weights = quad.mu_weights * quad.phi_weight
     out = np.empty(sz.size)
     rows = max(1, min(sz.size, QUAD_ELEMENTS // (quad.theta_order * quad.phi_order)))
-    q, work = (np.empty((rows, quad.theta_order, quad.phi_order)) for _ in range(2))
     for lo in range(0, sz.size, rows):
-        hi = min(lo + rows, sz.size)
-        qk, wk = q[:hi - lo], work[:hi - lo]
+        hi = lo + rows
         ring = (np.multiply.outer(sx[lo:hi], quad.cos_phi)
                 + np.multiply.outer(sy[lo:hi], quad.sin_phi))
-        np.multiply(ring[:, None, :], quad.sin_theta_4pi[:, None], out=qk)
-        qk += ((np.multiply.outer(sz[lo:hi], quad.mu_nodes) + 1.0) / FOUR_PI)[:, :, None]
-        per_theta = np.add.reduce(integrand(qk, wk), axis=-1)
+        q = ring[:, None, :] * quad.sin_theta_4pi[:, None]
+        q += ((np.multiply.outer(sz[lo:hi], quad.mu_nodes) + 1.0) / FOUR_PI)[:, :, None]
+        per_theta = np.add.reduce(integrand(q), axis=-1)
         per_theta *= weights
-        np.add.reduce(per_theta, axis=-1, out=out[lo:hi])
+        out[lo:hi] = np.add.reduce(per_theta, axis=-1)
     return out.reshape(shape)
 
 
-def _q_log_q(q: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Q ln Q into ``work``; a block with a node at or below 0 is checked
-    against Q_FLOOR, clamped and given 0 ln 0 = 0."""
+def _q_log_q(q: np.ndarray) -> np.ndarray:
+    """Q ln Q; a block with a node at or below 0 is checked against Q_FLOOR,
+    clamped and given 0 ln 0 = 0."""
     low = q.min()
     if low > 0.0:
-        np.log(q, out=work)
-        work *= q
-    else:
-        if low < Q_FLOOR:
-            raise DomainError("negative Q density at a node: Bloch vector outside "
-                              "the unit ball")
-        work[...] = _xlogx(np.maximum(q, 0.0))
-    return work
+        out = np.log(q)
+        out *= q
+        return out
+    if low < Q_FLOOR:
+        raise DomainError("negative Q density at a node: Bloch vector outside "
+                          "the unit ball")
+    return _xlogx(np.maximum(q, 0.0))
 
 
 def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
@@ -137,7 +133,7 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
 
 def q_normalization(bloch: BlochVector, quad: SphereQuadrature):
     """Quadrature integral of Q over the sphere, per point; should be 1."""
-    return _item(_integrate(bloch, quad, lambda q, work: q))
+    return _item(_integrate(bloch, quad, lambda q: q))
 
 
 def trig_power_integral(c1: float, c2: float, k: int) -> float:
@@ -147,8 +143,7 @@ def trig_power_integral(c1: float, c2: float, k: int) -> float:
     with the central-binomial ratio built as a product of (2j-1)/(2j)
     factors rather than through factorials.
     """
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
+    _check_count("k", k, 0)
     if k % 2 == 1:
         return 0.0
     m = k // 2
@@ -175,8 +170,7 @@ def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
     exact cancellation to its beta-function value and the remaining (n, r)
     terms, all positive, are accumulated in log space.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    _check_count("n_terms", n_terms, 1)
     _check_eta(bloch.eta)
     u = bloch.sz * bloch.sz
     v = bloch.sx * bloch.sx + bloch.sy * bloch.sy

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,11 @@ class TestMain:
         assert main(self.ARGS + ["--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["t_steps"] == 10
+
+    def test_defaults_are_the_config_defaults(self, capsys):
+        assert main(["--alpha-mag", "0.5", "--format", "structured"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"] == asdict(SimulationConfig(alpha_mag=0.5))
 
 
 def test_cli_import_leaves_scipy_unloaded():

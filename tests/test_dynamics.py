@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from jcm_entropy import (
     AtomicDensityMatrix,
+    BlochVector,
     DomainError,
     SimulationConfig,
     SphereQuadrature,
@@ -17,6 +18,8 @@ from jcm_entropy import (
     coherent_amplitudes,
     reduced_density,
     run_sweep,
+    trig_power_integral,
+    wehrl_entropy_triple_sum,
 )
 from jcm_entropy import dynamics
 from jcm_entropy.dynamics import (
@@ -580,6 +583,19 @@ class TestBlochVector:
 
 
 class TestSimulationConfig:
+    @pytest.mark.parametrize("call,name,value", [
+        (lambda v: SimulationConfig(alpha_mag=1.0, t_steps=v), "t_steps", 10.0),
+        (lambda v: SimulationConfig(alpha_mag=1.0, quad_theta_order=v), "theta_order", 4.5),
+        (lambda v: SimulationConfig(alpha_mag=1.0, quad_phi_order=v), "phi_order", 8.0),
+        (lambda v: SphereQuadrature(v, 8), "theta_order", 4.5),
+        (lambda v: wehrl_entropy_triple_sum(BlochVector(0, 0, 0.5, 0.5), v), "n_terms", 2.5),
+        (lambda v: trig_power_integral(1.0, 0.0, v), "k", 2.5)])
+    def test_counts_must_be_integers(self, call, name, value):
+        # these passed the checks and failed later in numpy with a TypeError
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {value}$"):
+            call(value)
+        call(np.int64(value))  # a numpy integer is accepted
+
     def test_defaults_valid(self):
         cfg = SimulationConfig(alpha_mag=7.0)
         assert cfg.t_steps == 3000

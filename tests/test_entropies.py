@@ -25,6 +25,7 @@ from jcm_entropy import (
     wehrl_entropy_series,
     wehrl_entropy_triple_sum,
 )
+from jcm_entropy.cli import main
 
 
 def bloch_from_components(sx, sy, sz):
@@ -312,6 +313,25 @@ class TestSeriesTolerance:
         for name in tight.keys() - {"wehrl_series"}:
             assert np.array_equal(loose[name], tight[name])
 
+    @pytest.mark.parametrize("route,eta,tol", [
+        (von_neumann_series, [np.nextafter(1.0 - 1e-8, 0.0)], 1e-14),
+        (von_neumann_series, [1.0 - 1e-8, np.nextafter(1.0 - 1e-8, 1.0)], 1e-14),
+        (von_neumann_series, [1.0 - 1e-12], 1e-14),
+        (wehrl_entropy_series, [1.0], 1e-19)])
+    def test_term_cap_raises(self, route, eta, tol):
+        # the sums used to stop at 10**6 terms in silence: von_neumann_series
+        # was 2.3e-7 off the closed form at 1 - 1e-8 and 2.5e-7 at 1 - 1e-12;
+        # the error names the first point that hits the cap
+        with pytest.raises(PrecisionLossError) as exc:
+            route(np.array([0.5] + eta), series_tol=tol)
+        assert str(exc.value).endswith(f"after 1000000 terms at eta = {float(eta[0])!r}")
+
+    def test_term_cap_exits_1(self, capsys):
+        # the T = 0 row has eta = 1, where 1e-19 needs more than 10**6 terms
+        assert main(["--alpha-mag", "2", "--t-steps", "5", "--series-tol", "1e-19"]) == 1
+        assert ("series has not met series_tol = 1e-19 after 1000000 terms at eta = 1.0"
+                in capsys.readouterr().err)
+
     def test_infinite_tolerance_no_longer_stops_after_one_term(self):
         # series_tol = inf used to stop after the first term: 2.4893576
         # against the closed form's 2.4882326 at eta = 0.5
@@ -365,7 +385,9 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("f", EXACT + ULP4, ids=lambda f: f.__name__)
     def test_matches_scalar_calls(self, f):
-        etas = [e for e in self.ETAS if f is not von_neumann_series or e < 1.0]
+        # von_neumann_series refuses eta = 1 and stops at its term cap above
+        # about 1 - 1.8e-6: TestSeriesTolerance.test_term_cap_raises
+        etas = [e for e in self.ETAS if f is not von_neumann_series or e < 1.0 - 1e-5]
         got = f(np.array(etas))
         want = self.per_point(f, etas)
         assert isinstance(got, np.ndarray) and got.shape == (len(etas),)
@@ -404,7 +426,7 @@ class TestArrayPath:
         w_denom = lambda n: 2 * n * (2 * n - 1) * (2 * n + 1)  # noqa: E731
         want = [LN4PI - loop_series(float(e), w_denom) for e in etas]
         assert np.array_equal(wehrl_entropy_series(etas), want)
-        inner = etas[etas < 1.0]
+        inner = etas[etas < 1.0 - 1e-5]  # as in test_matches_scalar_calls
         v_denom = lambda n: 2 * n * (2 * n - 1)  # noqa: E731
         want = [LN2 - loop_series(float(e), v_denom) for e in inner]
         assert np.array_equal(von_neumann_series(inner), want)

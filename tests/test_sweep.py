@@ -272,6 +272,6 @@ def test_working_memory_is_bounded(alpha_mag, t_steps):
 
 
 def test_oracle_working_memory_is_bounded():
-    # the quadrature's two block buffers are 512 KiB, whatever the grid length
+    # a block's Q and Q ln Q are 512 KiB together, whatever the grid length
     config = SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=2000)
     assert working_memory(config, with_oracle=True) <= 2 * 2 ** 20

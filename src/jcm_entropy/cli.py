@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fock-tol", type=float, dest="fock_tail_tol", metavar="FOCK_TOL",
                    help="Poisson tail mass allowed beyond Fock truncation")
     p.add_argument("--series-tol", type=float,
-                   help="relative term size at which series are truncated")
+                   help="relative change at which the series stops refining (>= 2e-15)")
     p.add_argument("--quad-theta", type=int, dest="quad_theta_order",
                    metavar="QUAD_THETA",
                    help="Gauss-Legendre order for the oracle quadrature (>= 2)")

@@ -25,6 +25,9 @@ from .errors import DomainError
 
 TRACE_TOL = 1e-12
 ETA_TOL = 1e-9
+# |alpha| up to this keeps the photon-number window (within |alpha|^2 + 40|alpha|
+# for every fock_tail_tol) below 2**53, so that photon numbers are exact floats.
+ALPHA_MAX = 9e7
 
 
 def _item(value):
@@ -50,11 +53,12 @@ def _check_tolerance(name: str, tol) -> None:
 
 
 def _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol) -> None:
-    """|alpha| finite and nonnegative, its phase finite, fock_tail_tol in (0, 1)."""
+    """|alpha| finite and in [0, ALPHA_MAX], its phase finite, fock_tail_tol in (0, 1)."""
     _require_finite("alpha_mag", alpha_mag)
     _require_finite("alpha_phase", alpha_phase)
-    if alpha_mag < 0:
-        raise DomainError("alpha_mag must be nonnegative")
+    if not 0.0 <= alpha_mag <= ALPHA_MAX:
+        raise DomainError(f"alpha_mag must lie in [0, {ALPHA_MAX:g}], where photon "
+                          f"numbers stay below 2**53, got {alpha_mag!r}")
     _check_tolerance("fock_tail_tol", fock_tail_tol)
 
 
@@ -93,8 +97,9 @@ class SimulationConfig:
         for name in ("t_start", "t_end"):
             _require_finite(name, getattr(self, name))
         _check_count("t_steps", self.t_steps, 1)
-        if self.t_end < self.t_start:
-            raise DomainError("t_end must not precede t_start")
+        span = float(self.t_end) - float(self.t_start)  # overflows to inf, silently
+        if not 0.0 <= span < math.inf:
+            raise DomainError(f"t_end - t_start must be finite and >= 0, got {span!r}")
         _check_tolerance("series_tol", self.series_tol)
         _check_quad_orders(self.quad_theta_order, self.quad_phi_order)
 

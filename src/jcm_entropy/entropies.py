@@ -1,7 +1,8 @@
 """Entanglement entropies of the atomic qubit as functions of the Bloch radius.
 
 Three measures are provided, the last two each by a closed form and an
-independent power series (the Wehrl oracle routes are in ``husimi``):
+independent power series, summed as one Beta integral (the Wehrl oracle
+routes are in ``husimi``):
 
 * linear entropy        xi    = (1 - eta^2)/2,            range [0, 1/2]
 * von Neumann entropy   gamma = -sum mu log mu,           range [0, ln 2]
@@ -9,11 +10,12 @@ independent power series (the Wehrl oracle routes are in ``husimi``):
 
 All of them depend on the Bloch vector only through its length eta, which
 is what makes cross-route checking possible.  The closed forms call no
-series, so the two routes are independent at every eta.
+series and the series no logarithm, so the routes are independent at every eta.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,10 +28,10 @@ LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
 WEHRL_SPAN = LN2 - 0.5                           # ln(4pi) - WEHRL_MIN
 
-_MAX_TERMS = 10 ** 6
-_BLOCK_ELEMENTS = 2 ** 13   # series terms held at once
-_FIRST_BLOCK = 8            # terms per point in a batch's first block
-_TERM_FLOOR = 1e-300
+# The tanh-sinh rule of _sum_series: nodes x = j*h on |x| <= _X_MAX, where the
+# weight ds/dx is below 1e-15, with h = 1, 1/2, ... halved up to _HALVINGS times.
+_X_MAX = 3.2
+_HALVINGS = 6
 
 
 def _check_eta(eta) -> np.ndarray:
@@ -61,75 +63,63 @@ def von_neumann_entropy(eta):
     return _item(0.0 - _xlogx(0.5 * (1.0 + eta)) - _xlogx(0.5 * (1.0 - eta)))
 
 
-def _sum_series(eta: np.ndarray, denom, series_tol: float) -> np.ndarray:
-    """Sum eta^{2n} / denom(n) for each eta, with a relative-term stopping rule.
+@functools.cache
+def _level(power: int, k: int) -> tuple:
+    """(1 - t^2, (1-t)^power ds/dx) at the nodes x = j/2**k that the k-th
+    halving adds: every j for k = 0, the odd j after.  s = 1 - t is taken
+    straight from s = 1/(1 + exp(-pi sinh x)), so neither end cancels."""
+    m = math.floor(_X_MAX * 2 ** k)
+    j = np.arange(-m, m + 1)
+    x = j[(j % 2 == 1) | (k == 0)] * 2.0 ** -k
+    e = np.exp(-math.pi * np.sinh(x))
+    s = 1.0 / (1.0 + e)
+    w = s ** power * (math.pi * np.cosh(x) * s * (e / (1.0 + e)))
+    return tuple(zip((s * (2.0 - s)).tolist(), w.tolist()))
 
-    Each sum stops at the first n where term < max(series_tol * partial sum,
-    1e-300).  Terms are made a block at a time, powers by
-    ``np.multiply.accumulate`` and partial sums by ``np.add.accumulate``,
-    which keep the order of a term-by-term loop, so every sum is the one that
-    loop gives, bit for bit.  Points leave the batch once they stop; blocks
-    double in length within ``_BLOCK_ELEMENTS`` terms.  A sum that has not
-    stopped after ``_MAX_TERMS`` terms raises PrecisionLossError, naming the
-    first such eta.  ``series_tol`` is checked by the public routes.
+
+def _sum_series(eta, power: int, series_tol: float) -> np.ndarray:
+    """sum_{n>=1} eta^{2n} B(2n-1, power+1) for each eta, by its integral.
+
+    As B(2n-1, p+1) = int_0^1 t^{2n-2} (1-t)^p dt, the sum is eta^2 times
+    int_0^1 (1-t)^p / ((1-eta)(1+eta) + eta^2 (1-t^2)) dt, where nothing
+    cancels, up to eta = 1.  The tanh-sinh rule (Takahasi & Mori, Publ. RIMS
+    9, 721 (1974)) sums it node by node, so temporaries stay the size of
+    ``eta``.  Each point keeps the value of the first halving of h that moves
+    it by at most ``series_tol`` of itself; a point that has not settled
+    after ``_HALVINGS`` halvings raises PrecisionLossError, naming the first
+    such eta.  The only operations on eta are + * /, so each point gets the
+    bits of a one-point call, and no logarithm, artanh or closed form enters.
     """
+    _check_tolerance("series_tol", series_tol)
+    eta = _check_eta(eta)
     q = (eta * eta).ravel()
-    out = np.empty_like(q)
-    batch = _BLOCK_ELEMENTS // _FIRST_BLOCK
-    for lo in range(0, q.size, batch):
-        idx = np.arange(lo, min(lo + batch, q.size))
-        power = np.ones(idx.size)
-        acc = np.zeros(idx.size)
-        n0, length = 1, _FIRST_BLOCK
-        while idx.size:
-            length = min(length, _BLOCK_ELEMENTS // idx.size, _MAX_TERMS + 1 - n0)
-            powers = np.repeat(q[idx, None], length, axis=1)
-            powers[:, 0] *= power
-            np.multiply.accumulate(powers, axis=1, out=powers)
-            terms = powers / denom(np.arange(n0, n0 + length, dtype=float))
-            sums = terms.copy()
-            sums[:, 0] += acc
-            np.add.accumulate(sums, axis=1, out=sums)
-            stop = terms < np.maximum(series_tol * sums, _TERM_FLOOR)
-            hit = stop.any(axis=1)
-            out[idx[hit]] = sums[hit, stop[hit].argmax(axis=1)]
-            idx, power, acc = idx[~hit], powers[~hit, -1], sums[~hit, -1]
-            n0 += length
-            if n0 > _MAX_TERMS and idx.size:
-                raise PrecisionLossError(
-                    f"series has not met series_tol = {series_tol!r} after "
-                    f"{_MAX_TERMS} terms at eta = {eta.flat[idx[0]].item()!r}")
-            length *= 2
-    return out.reshape(eta.shape)
+    c = ((1.0 - eta) * (1.0 + eta)).ravel()
+    out, idx, acc = np.empty_like(q), np.arange(q.size), np.zeros(q.size)
+    last = np.inf  # no point settles on the first level
+    for k in range(_HALVINGS + 1):
+        for a, w in _level(power, k):
+            acc += w / (c + q * a)
+        value = acc * 2.0 ** -k
+        done = np.abs(value - last) <= series_tol * value
+        out[idx[done]] = q[done] * value[done]
+        idx, q, c, acc, last = (v[~done] for v in (idx, q, c, acc, value))
+        if not idx.size:
+            return out.reshape(eta.shape)
+    raise PrecisionLossError(
+        f"series has not met series_tol = {series_tol!r} after {_HALVINGS} "
+        f"halvings of the step at eta = {eta.flat[idx[0]].item()!r}")
 
 
 def von_neumann_series(eta, series_tol: float = 1e-14):
-    """von Neumann entropy by its series ln 2 - sum eta^{2n}/(2n(2n-1)).
-
-    Serves as the independent cross-check of :func:`von_neumann_entropy`.
-    The series converges too slowly at eta = 1, where the closed form is
-    exact anyway, so that endpoint is refused; from about 1 - 1.8e-6 on it
-    does not meet series_tol = 1e-14 within its term cap and raises
-    PrecisionLossError.
-    """
-    _check_tolerance("series_tol", series_tol)
-    eta = _check_eta(eta)
-    if np.any(eta >= 1.0):
-        raise DomainError("von_neumann_series: eta = 1 is out of domain, "
-                          "use von_neumann_entropy")
-    return _item(LN2 - _sum_series(eta, lambda n: 2 * n * (2 * n - 1), series_tol))
+    """von Neumann entropy ln 2 - sum eta^{2n}/(2n(2n-1)) on all of [0, 1], the
+    independent cross-check of :func:`von_neumann_entropy`; 1/(2n(2n-1)) = B(2n-1, 2)."""
+    return _item(LN2 - _sum_series(eta, 1, series_tol))
 
 
 def wehrl_entropy_series(eta, series_tol: float = 1e-14):
-    """Atomic Wehrl entropy ln(4pi) - sum eta^{2n}/(2n(2n-1)(2n+1)).
-
-    Terms fall off like n^-3, so the series converges on the whole closed
-    interval [0, 1].
-    """
-    _check_tolerance("series_tol", series_tol)
-    eta = _check_eta(eta)
-    return _item(LN4PI - _sum_series(
-        eta, lambda n: 2 * n * (2 * n - 1) * (2 * n + 1), series_tol))
+    """Atomic Wehrl entropy ln(4pi) - sum eta^{2n}/(2n(2n-1)(2n+1)) on all of
+    [0, 1]; 1/(2n(2n-1)(2n+1)) = B(2n-1, 3)/2."""
+    return _item(LN4PI - 0.5 * _sum_series(eta, 2, series_tol))
 
 
 def wehrl_entropy_closed(eta):

@@ -7,4 +7,4 @@ class DomainError(ValueError):
 
 class PrecisionLossError(ArithmeticError):
     """A route cannot reach its accuracy: a partial term grew large enough that
-    cancellation would destroy it, or a series did not converge within its cap."""
+    cancellation would destroy it, or a series did not settle to its tolerance."""

@@ -9,13 +9,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dynamics, entropies, husimi
-from .errors import DomainError
+from .errors import DomainError, PrecisionLossError
 
 BASE_COLUMNS = ("t", "sx", "sy", "sz", "eta", "xi", "gamma",
                 "wehrl_closed", "wehrl_series", "gamma_norm", "wehrl_norm")
 _AFTER_SERIES = BASE_COLUMNS.index("wehrl_series") + 1
 ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
+_NAMED = (DomainError, PrecisionLossError)  # the errors _on_grid places on the grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +32,8 @@ class SweepResult:
 
 
 def _on_grid(t: np.ndarray, fn):
-    """``fn(t)`` for the grid points ``t``; a DomainError names the first
-    failing T, as ``at T = <t>: ...``.
+    """``fn(t)`` for the grid points ``t``; a DomainError or PrecisionLossError
+    names the first failing T, as ``at T = <t>: ...``, in an error of its type.
 
     On failure the failing point is found by halving: ``fn`` runs on the
     first half of the range that holds it, which holds it if that run
@@ -41,21 +42,21 @@ def _on_grid(t: np.ndarray, fn):
     """
     try:
         return fn(t)
-    except DomainError as exc:
+    except _NAMED as exc:
         error = exc
     lo, hi = 0, t.size  # the first failing point lies in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
             fn(t[lo:mid])
-        except DomainError:
+        except _NAMED:
             hi = mid
         else:
             lo = mid
     try:
         fn(t[lo:hi])
-    except DomainError as exc:
-        raise DomainError(f"at T = {t[lo].item()!r}: {exc}") from exc
+    except _NAMED as exc:
+        raise type(exc)(f"at T = {t[lo].item()!r}: {exc}") from exc
     raise error
 
 
@@ -81,8 +82,8 @@ def run_sweep(config: dynamics.SimulationConfig,
     ``SWEEP_POINTS`` points at a time; for each run of points the Bloch
     vector, the entropies and, when ``with_oracle`` is set, the slow
     spherical quadrature are each computed at once, into columns allocated
-    for the whole grid.  A DomainError names the first grid point at which
-    any stage fails.
+    for the whole grid.  A DomainError or PrecisionLossError names the first
+    grid point at which any stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -162,6 +163,25 @@ class TestMain:
         assert ("at T = 1e+300: Rabi phase T*sqrt(n+1) = 1.1832159566199233e+301 "
                 "for T = 1e+300, n = 139 has an ulp of 2.379227053564453e+285"
                 in captured.err)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--alpha-mag", "1e8"], "alpha_mag must lie in [0, 9e+07], where photon "
+                                 "numbers stay below 2**53, got 100000000.0"),
+        (["--alpha-mag", "1e155"], "alpha_mag must lie in [0, 9e+07], where photon "
+                                   "numbers stay below 2**53, got 1e+155"),
+        (["--alpha-mag", "2", "--t-start=-1e308", "--t-end=1e308", "--t-steps", "3"],
+         "t_end - t_start must be finite and >= 0, got inf")],
+        ids=["alpha-1e8", "alpha-1e155", "span-overflow"])
+    def test_unrepresentable_inputs_exit_2(self, args, message, capsys):
+        # 1e155 crashed with an OverflowError traceback from |alpha|**2, and
+        # the span 2e308 overflowed numpy into NaN times and two warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"jcm-entropy: argument error: {message}\n"
 
     def test_large_alpha(self, tmp_path):
         # |alpha| >= 39 underflowed exp(-|alpha|^2/2) in the old recurrence

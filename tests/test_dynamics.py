@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import types
 
 import mpmath
@@ -148,6 +149,21 @@ def mp_poisson(alpha_mag, n):
 
 
 class TestCoherentAmplitudes:
+    @pytest.mark.parametrize("alpha_mag", [1e8, 1e155])
+    def test_refuses_photon_numbers_beyond_exact_floats(self, alpha_mag):
+        # from |alpha| ~ 9.5e7 the window reaches n = 2**53, where photon
+        # numbers stop being exact floats; 1e155 raised an OverflowError from
+        # |alpha|**2.  Both are refused before any basis is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^alpha_mag must lie in \[0, 9e\+07\]"):
+                coherent_amplitudes(alpha_mag, 0.0, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        SimulationConfig(alpha_mag=dynamics.ALPHA_MAX)  # the limit itself is taken
+
     @pytest.mark.parametrize("alpha_mag,theta", [(7.0, 6.2), (30.0, 6.2),
                                                  (38.0, 0.4), (60.0, 6.2)])
     def test_populations_and_coherences_against_mpmath(self, alpha_mag, theta):
@@ -614,6 +630,7 @@ class TestSimulationConfig:
 
     @pytest.mark.parametrize("name,value", [
         ("alpha_mag", -1.0), ("alpha_mag", float("nan")), ("alpha_mag", float("inf")),
+        ("alpha_mag", 1e8), ("alpha_mag", 1e155),
         ("alpha_phase", float("inf")),
         ("fock_tail_tol", 0.0), ("fock_tail_tol", 1.0), ("fock_tail_tol", float("nan")),
         ("quad_theta_order", 1), ("quad_phi_order", 3)])

@@ -28,6 +28,24 @@ from jcm_entropy import (
 from jcm_entropy.cli import main
 
 
+# both series against 50-digit values, on all of [0, 1]
+SERIES_BOUND = 2e-15
+
+
+def mp_references(eta):
+    """(von Neumann, Wehrl) entropies at ``eta`` to 50 digits, as floats."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eta)
+        if e == 1:
+            return 0.0, float(mpmath.log(2 * mpmath.pi) + 0.5)
+        mu = (1 + e) / 2, (1 - e) / 2
+        gamma = -sum(m * mpmath.log(m) for m in mu)
+        wehrl = mpmath.log(4 * mpmath.pi)
+        if e:
+            wehrl += 0.5 - mpmath.log(1 - e * e) / 2 - (1 + e * e) * mpmath.atanh(e) / (2 * e)
+        return float(gamma), float(wehrl)
+
+
 def bloch_from_components(sx, sy, sz):
     return BlochVector(sx, sy, sz, math.sqrt(sx * sx + sy * sy + sz * sz))
 
@@ -79,8 +97,9 @@ class TestVonNeumann:
             von_neumann_entropy(0.99), abs=1e-10)
 
     def test_series_refuses_endpoint(self):
-        with pytest.raises(DomainError):
-            von_neumann_series(1.0)
+        # refused while the series was summed term by term; its integral
+        # form takes eta = 1 like any other point
+        assert abs(von_neumann_series(1.0)) <= SERIES_BOUND
 
     def test_series_empty_sum(self):
         assert von_neumann_series(0.0) == pytest.approx(LN2, abs=1e-15)
@@ -151,6 +170,18 @@ class TestWehrl:
         for eta in (1e-6, 1e-4, 9e-4, 1.1e-3, 2e-3):
             assert abs(wehrl_entropy_closed(eta)
                        - wehrl_entropy_series(eta)) < 1e-12
+
+    def test_series_on_whole_domain_against_mpmath(self):
+        # 1 - eta down to 1e-16, both ends and subnormal eta; the term-by-term
+        # sums were 3.9e-11 off at eta = 1 and refused or capped von Neumann
+        # beyond about 1 - 1.8e-6
+        rng = np.random.default_rng(9)
+        eta = np.concatenate([[0.0, 5e-324, 1e-310, 1e-3], np.logspace(-300, 0, 1000),
+                              1.0 - np.logspace(-16, -0.3, 1500),
+                              rng.uniform(0.0, 1.0, 1500), [1.0]])
+        want = np.array([mp_references(e) for e in eta.tolist()])
+        assert np.all(np.abs(von_neumann_series(eta) - want[:, 0]) <= SERIES_BOUND)
+        assert np.all(np.abs(wehrl_entropy_series(eta) - want[:, 1]) <= SERIES_BOUND)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -319,18 +350,29 @@ class TestSeriesTolerance:
         (von_neumann_series, [1.0 - 1e-12], 1e-14),
         (wehrl_entropy_series, [1.0], 1e-19)])
     def test_term_cap_raises(self, route, eta, tol):
-        # the sums used to stop at 10**6 terms in silence: von_neumann_series
-        # was 2.3e-7 off the closed form at 1 - 1e-8 and 2.5e-7 at 1 - 1e-12;
-        # the error names the first point that hits the cap
+        # the term-by-term sums raised at all four: von_neumann_series hit
+        # its 10**6-term cap near 1 (and had stopped there in silence, 2.3e-7
+        # off at 1 - 1e-8).  The integral settles at those points now; a
+        # series_tol below rounding still raises, naming the first point
+        # that cannot settle: at 1e-19 that is 0.5 already.
+        etas = np.array([0.5] + eta)
+        if route is von_neumann_series:
+            want = [mp_references(e)[0] for e in etas.tolist()]
+            assert np.all(np.abs(route(etas, series_tol=tol) - want) <= SERIES_BOUND)
+            return
         with pytest.raises(PrecisionLossError) as exc:
-            route(np.array([0.5] + eta), series_tol=tol)
-        assert str(exc.value).endswith(f"after 1000000 terms at eta = {float(eta[0])!r}")
+            route(etas, series_tol=tol)
+        assert str(exc.value) == ("series has not met series_tol = 1e-19 after 6 "
+                                  "halvings of the step at eta = 0.5")
+        with pytest.raises(PrecisionLossError, match=r"at eta = 1\.0$"):
+            route(np.array(eta), series_tol=tol)
 
     def test_term_cap_exits_1(self, capsys):
-        # the T = 0 row has eta = 1, where 1e-19 needs more than 10**6 terms
+        # the T = 0 row has eta = 1, where 1e-19 is below rounding; the error
+        # names the grid point
         assert main(["--alpha-mag", "2", "--t-steps", "5", "--series-tol", "1e-19"]) == 1
-        assert ("series has not met series_tol = 1e-19 after 1000000 terms at eta = 1.0"
-                in capsys.readouterr().err)
+        assert ("jcm-entropy: at T = 0.0: series has not met series_tol = 1e-19 "
+                "after 6 halvings of the step at eta = 1.0" in capsys.readouterr().err)
 
     def test_infinite_tolerance_no_longer_stops_after_one_term(self):
         # series_tol = inf used to stop after the first term: 2.4893576
@@ -356,7 +398,8 @@ class TestNormalized:
 
 
 def loop_series(eta, denom, tol=1e-14):
-    """The series summed term by term in Python, with the library's stopping rule."""
+    """The series summed term by term in Python, the oracle of the library's sums;
+    it stops at the first term below max(tol * sum, 1e-300)."""
     q = eta * eta
     power, acc = 1.0, 0.0
     for n in range(1, 10 ** 6 + 1):
@@ -385,12 +428,9 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("f", EXACT + ULP4, ids=lambda f: f.__name__)
     def test_matches_scalar_calls(self, f):
-        # von_neumann_series refuses eta = 1 and stops at its term cap above
-        # about 1 - 1.8e-6: TestSeriesTolerance.test_term_cap_raises
-        etas = [e for e in self.ETAS if f is not von_neumann_series or e < 1.0 - 1e-5]
-        got = f(np.array(etas))
-        want = self.per_point(f, etas)
-        assert isinstance(got, np.ndarray) and got.shape == (len(etas),)
+        got = f(np.array(self.ETAS))
+        want = self.per_point(f, self.ETAS)
+        assert isinstance(got, np.ndarray) and got.shape == (len(self.ETAS),)
         if f in self.EXACT:
             assert np.array_equal(got, want)
         else:
@@ -418,18 +458,22 @@ class TestArrayPath:
         assert type(linear_entropy(np.array(0.5))) is float
 
     def test_series_is_the_term_by_term_sum(self):
-        # bit for bit, including eta = 1 (about 4e4 terms) and points that
-        # stop in different blocks of the blockwise sum
+        # The loop leaves the tail after its last term unsummed: 3.88e-11
+        # (about 1/(16 N^2) after N = 4e4 terms) for the Wehrl series at
+        # eta = 1, and at most 1.26e-11 for the von Neumann series below
+        # 1 - 1e-5, where it meets its tolerance within 10**6 terms.  The
+        # library's sums agree with it to that tail.
+        tail = 4e-11
         rng = np.random.default_rng(5)
         etas = np.concatenate([[0.0, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-8, 1.0],
                                rng.uniform(0.0, 1.0, 40), 1.0 - rng.uniform(0, 1e-3, 5)])
         w_denom = lambda n: 2 * n * (2 * n - 1) * (2 * n + 1)  # noqa: E731
         want = [LN4PI - loop_series(float(e), w_denom) for e in etas]
-        assert np.array_equal(wehrl_entropy_series(etas), want)
-        inner = etas[etas < 1.0 - 1e-5]  # as in test_matches_scalar_calls
+        assert np.all(np.abs(wehrl_entropy_series(etas) - want) <= tail)
+        inner = etas[etas < 1.0 - 1e-5]
         v_denom = lambda n: 2 * n * (2 * n - 1)  # noqa: E731
         want = [LN2 - loop_series(float(e), v_denom) for e in inner]
-        assert np.array_equal(von_neumann_series(inner), want)
+        assert np.all(np.abs(von_neumann_series(inner) - want) <= tail)
 
     def test_first_offending_value_named(self):
         with pytest.raises(DomainError, match=r"eta = 1\.5 outside"):

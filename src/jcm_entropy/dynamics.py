@@ -162,9 +162,44 @@ class BlochVector:
     eta: float | np.ndarray
 
 
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: int) -> float:
+    """ln n! - ((n + 1/2) ln n - n + ln sqrt(2 pi)), Stirling's error, n >= 1."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn)
+            / nn) / n
+
+
 def _log_poisson(n: int, alpha_mag: float) -> float:
-    """ln p_n of the Poisson weight p_n = exp(-|alpha|^2) |alpha|^(2n) / n!."""
-    return 2.0 * n * math.log(alpha_mag) - alpha_mag ** 2 - math.lgamma(n + 1.0)
+    """ln p_n of the Poisson weight p_n = exp(-|alpha|^2) |alpha|^(2n) / n!.
+
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000): ln p_n = -stirlerr(n) - bd0 - ln(2 pi n)/2
+    with bd0 = n ln(n/m) + m - n and m = |alpha|^2.  For m/2 <= n <= 2m, bd0 is
+    summed as a series in v = (n - m)/(n + m), |v| <= 1/3, from n - m formed
+    exactly, so no term of the size of m cancels.
+    """
+    m, m_lo = _two_prod(alpha_mag, alpha_mag)  # |alpha|^2 = m + m_lo exactly
+    if n == 0:
+        return -m
+    if 0.5 * m <= n <= 2.0 * m:
+        d = (n - m) - m_lo  # n - m is exact here (Sterbenz)
+        v = d / (n + m)
+        bd0 = d * v
+        term, v2, j = 2.0 * n * v, v * v, 1
+        while True:  # 2n (v^3/3 + v^5/5 + ...) = n ln(n/m) - 2nv
+            term *= v2
+            nxt = bd0 + term / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 1
+    else:
+        bd0 = n * math.log(n / m) + m - n
+    return -_stirlerr(n) - bd0 - 0.5 * math.log(2.0 * math.pi * n)
 
 
 def coherent_amplitudes(alpha_mag: float, alpha_phase: float,

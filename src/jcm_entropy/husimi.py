@@ -11,13 +11,16 @@ Quadrature: Gauss-Legendre in mu = cos(theta) (absorbing the sin(theta)
 measure) tensored with a uniform periodic rule in phi.
 
 ``wehrl_entropy_quadrature`` and ``q_normalization`` take a Bloch vector
-with scalar or 1-D array fields.  Points are taken ``QUAD_ELEMENTS`` nodes
-at a time (4 points at 64x128), and each point's value is that of a scalar
-call, bit for bit.  The node geometry (sin theta, cos phi, sin phi) is
-built once per :class:`SphereQuadrature`, but the oracle stays independent
-of the other routes: Q is evaluated from (sx, sy, sz) at every node for
-every point, with no use of rotational symmetry, of eta, or of the closed
-form or the series.  ``wehrl_entropy_triple_sum``, the other oracle,
+with scalar or 1-D array fields.  Since Q is linear in the Bloch vector,
+:class:`SphereQuadrature` builds once a (4, nodes) basis of the node
+geometry, and a block of points, stacked as rows [1, sz, sx, sy], gets its
+Q at every node as one matrix product with it.  Points are taken
+``QUAD_ELEMENTS`` nodes at a time (4 points at 64x128), every block padded
+to the same shape, so each point's value is that of a scalar call, bit for
+bit; a scalar call pays for one block.  The oracle stays independent of
+the other routes: Q is evaluated from (sx, sy, sz) at every node for every
+point, with no use of rotational symmetry, of eta, or of the closed form
+or the series.  ``wehrl_entropy_triple_sum``, the other oracle,
 integrates term by term the expansion whose azimuthal integrals
 ``trig_power_integral`` gives.
 """
@@ -51,18 +54,21 @@ class SphereQuadrature:
     mu_weights: np.ndarray = field(init=False, repr=False)
     phi_nodes: np.ndarray = field(init=False, repr=False)
     phi_weight: float = field(init=False, repr=False)
-    sin_theta_4pi: np.ndarray = field(init=False, repr=False)  # sin(theta_i)/(4 pi)
-    cos_phi: np.ndarray = field(init=False, repr=False)
-    sin_phi: np.ndarray = field(init=False, repr=False)
+    # (4, theta_order * phi_order): Q at node (i, j), column i * phi_order + j,
+    # is [1, sz, sx, sy] @ basis
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_quad_orders(self.theta_order, self.phi_order)
         mu, w = np.polynomial.legendre.leggauss(self.theta_order)
         phi = 2.0 * math.pi * np.arange(self.phi_order) / self.phi_order
+        sin_theta = np.sqrt(1.0 - mu ** 2)[:, None]
+        basis = np.stack([np.broadcast_to(row, (self.theta_order, self.phi_order))
+                          for row in (1.0, mu[:, None], sin_theta * np.cos(phi),
+                                      sin_theta * np.sin(phi))])
         for name, value in (("mu_nodes", mu), ("mu_weights", w), ("phi_nodes", phi),
                             ("phi_weight", 2.0 * math.pi / self.phi_order),
-                            ("sin_theta_4pi", np.sqrt(1.0 - mu ** 2) / FOUR_PI),
-                            ("cos_phi", np.cos(phi)), ("sin_phi", np.sin(phi))):
+                            ("basis", basis.reshape(4, -1) / FOUR_PI)):
             object.__setattr__(self, name, value)
 
     @property
@@ -85,27 +91,30 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
 def _integrate(bloch: BlochVector, quad: SphereQuadrature, integrand):
     """The quadrature sum of ``integrand(Q)`` over the sphere, per point.
 
-    Q at node (theta_i, phi_j) is built as
-    (sx cos phi_j + sy sin phi_j) sin(theta_i)/(4 pi) + (sz mu_i + 1)/(4 pi),
-    a block of points at a time as a (points, theta, phi) array.
+    The points are stacked as rows [1, sz, sx, sy] and taken ``rows`` at a
+    time; a block's Q at every node is one product with ``quad.basis``.
+    Each block has the same shape: the last, and a lone point, are padded
+    with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
+    not depend on the points that share its call.  The sum runs over phi
+    per theta, then against the theta weights.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
     shape = sz.shape
-    sx, sy, sz = (c.reshape(-1) for c in (sx, sy, sz))
+    rows = max(1, QUAD_ELEMENTS // quad.basis.shape[1])
+    coords = np.zeros((-(-sz.size // rows) * rows, 4))
+    coords[:, 0] = 1.0
+    for k, c in enumerate((sz, sx, sy), start=1):
+        coords[:sz.size, k] = c.reshape(-1)
+    ones = np.ones(quad.phi_order)
     weights = quad.mu_weights * quad.phi_weight
-    out = np.empty(sz.size)
-    rows = max(1, min(sz.size, QUAD_ELEMENTS // (quad.theta_order * quad.phi_order)))
-    for lo in range(0, sz.size, rows):
-        hi = lo + rows
-        ring = (np.multiply.outer(sx[lo:hi], quad.cos_phi)
-                + np.multiply.outer(sy[lo:hi], quad.sin_phi))
-        q = ring[:, None, :] * quad.sin_theta_4pi[:, None]
-        q += ((np.multiply.outer(sz[lo:hi], quad.mu_nodes) + 1.0) / FOUR_PI)[:, :, None]
-        per_theta = np.add.reduce(integrand(q), axis=-1)
+    out = np.empty(coords.shape[0])
+    for lo in range(0, coords.shape[0], rows):
+        q = coords[lo:lo + rows] @ quad.basis
+        per_theta = integrand(q).reshape(rows, quad.theta_order, quad.phi_order) @ ones
         per_theta *= weights
-        out[lo:hi] = np.add.reduce(per_theta, axis=-1)
-    return out.reshape(shape)
+        out[lo:lo + rows] = np.add.reduce(per_theta, axis=-1)
+    return out[:sz.size].reshape(shape)
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:

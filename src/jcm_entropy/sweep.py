@@ -104,11 +104,6 @@ def run_sweep(config: dynamics.SimulationConfig,
     return SweepResult(config=config, data=data)
 
 
-def _row_values(result: SweepResult):
-    """Python floats, one tuple per grid point, in column order."""
-    return zip(*(result.data[name].tolist() for name in result.columns))
-
-
 def _render_csv(result: SweepResult) -> list[bytes]:
     """The CSV text as bytes: the header, then the rows ``_g17.BLOCK``
     values at a time, each value ``"%.17g" % x`` byte for byte."""
@@ -136,7 +131,7 @@ def _render_structured(result: SweepResult) -> str:
     """
     head = json.dumps({"config": asdict(result.config),
                        "columns": list(result.columns)}, indent=2)
-    rows = json.dumps(list(_row_values(result)))
+    rows = json.dumps(np.stack(list(result.data.values()), axis=1).tolist())
     rows = rows[2:-2].replace(", ", ",\n      ").replace(
         "],\n      [", "\n    ],\n    [\n      ")
     return head[:-2] + ',\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]\n}\n"

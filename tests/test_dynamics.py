@@ -180,6 +180,20 @@ class TestCoherentAmplitudes:
                         for x, y0, y1 in zip(q.tolist(), p_ref, p_ref[1:]))
         assert p_err < 1e-16 and q_err < 1e-16
 
+    @pytest.mark.parametrize("alpha_mag", [0.3, 7.0, 123.4, 1e4, 1e6, 1e7, 9e7])
+    def test_log_poisson_against_mpmath(self, alpha_mag):
+        # the window's tail bounds rest on ln p_n out to about 38 standard
+        # deviations; 2n ln|alpha| - |alpha|^2 - ln n! summed as it stands is
+        # 83 off there at 9e7, from terms near 3e17
+        mode = math.floor(alpha_mag ** 2)
+        ns = sorted({max(0, mode + round(k * alpha_mag)) for k in range(-38, 39)})
+        with mpmath.workdps(50):
+            a2 = mpmath.mpf(alpha_mag) ** 2
+            err = max(abs(dynamics._log_poisson(n, alpha_mag)
+                          - (n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1)))
+                      for n in ns)
+        assert err < 1e-12
+
     def test_window_alpha30(self):
         amps = coherent_amplitudes(30.0, 0.0, 1e-12)
         # floor(900 - 300 - 20) .. ceil(900 + 300 + 20)

@@ -167,6 +167,35 @@ class TestArrayQuadrature:
                 one = f(bloch(sx[i].item(), sy[i].item(), sz[i].item()), quad)
                 assert type(one) is float and one == got[i], (f.__name__, i)
 
+    @pytest.mark.parametrize("orders", [(64, 128), (16, 32)])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_whole_and_partial_blocks_match_scalar_calls(self, orders, whole):
+        # two whole blocks take no padding; a count below one block is
+        # padded as a lone point is
+        quad = SphereQuadrature(*orders)
+        rows = QUAD_ELEMENTS // (orders[0] * orders[1])
+        count = 2 * rows if whole else rows - 1
+        sx, sy, sz = random_components(count, seed=9)
+        got = wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
+        assert got.shape == (count,)
+        for i in range(count):
+            one = wehrl_entropy_quadrature(bloch(sx[i].item(), sy[i].item(), sz[i].item()),
+                                           quad)
+            assert one == got[i], i
+
+    def test_near_unit_vectors_match_node_formula(self):
+        # Q nears 0 at the node antipodal to the vector, where the rounding
+        # of Q as a product matters most
+        quad = SphereQuadrature(64, 128)
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(3, 24))
+        gap = np.append(rng.uniform(0.0, 1e-12, 20), [0.0] * 4)  # 1 - eta
+        v *= (1.0 - gap) / np.linalg.norm(v, axis=0)
+        got = wehrl_entropy_quadrature(BlochVector(*v, None), quad)
+        for i, b in enumerate(map(lambda c: bloch(*c), v.T.tolist())):
+            want = masked_quadrature(b, quad)
+            assert abs(got[i] - want) <= 4 * np.spacing(want), i
+
     def test_matches_node_formula(self):
         quad = SphereQuadrature(32, 64)
         for b in map(lambda v: bloch(*v), random_components(20, seed=8).T.tolist()):

@@ -25,6 +25,7 @@ from .errors import DomainError
 
 TRACE_TOL = 1e-12
 ETA_TOL = 1e-9
+SERIES_TOL = 1e-14
 # |alpha| up to this keeps the photon-number window (within |alpha|^2 + 40|alpha|
 # for every fock_tail_tol) below 2**53, so that photon numbers are exact floats.
 ALPHA_MAX = 9e7
@@ -88,7 +89,7 @@ class SimulationConfig:
     t_end: float = 30.0
     t_steps: int = 3000
     fock_tail_tol: float = 1e-12
-    series_tol: float = 1e-14
+    series_tol: float = SERIES_TOL
     quad_theta_order: int = 64
     quad_phi_order: int = 128
 
@@ -202,6 +203,19 @@ def _log_poisson(n: int, alpha_mag: float) -> float:
     return -_stirlerr(n) - bd0 - 0.5 * math.log(2.0 * math.pi * n)
 
 
+def _edge(start: int, step: int, inside) -> int:
+    """The first n = start, start + step, ... at which ``inside(n)`` fails,
+    for an ``inside`` that fails at every n beyond that one: found by
+    strides that double from ``start``, then by bisection."""
+    good, bad, stride = start - step, start, 1  # good is never evaluated
+    while inside(bad):
+        good, bad, stride = bad, bad + step * stride, 2 * stride
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if inside(mid) else (good, mid)
+    return bad
+
+
 def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
                         fock_tail_tol: float) -> FockAmplitudes:
     """Coherent-state Fock amplitudes C_n = alpha^n exp(-|alpha|^2/2)/sqrt(n!).
@@ -211,9 +225,11 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     n_min = max(0, floor(|alpha|^2 - 10|alpha| - 20)), each widened until the
     Poisson mass dropped beyond it, bounded by a geometric series, stays
     below ``fock_tail_tol`` (the mass above n_max first, then the two
-    together).  The weights |C_n| are built by the ratio recurrence outward
-    from the mode floor(|alpha|^2), starting from 1 there, and then
-    renormalized, so nothing underflows at large |alpha|.
+    together).  Each bound only falls as its edge moves away from the mode,
+    so each edge is found by a search (``_edge``), in O(log |alpha|) steps.
+    The weights |C_n| are built by the ratio recurrence outward from the
+    mode floor(|alpha|^2), starting from 1 there, and then renormalized, so
+    nothing underflows at large |alpha|.
     """
     _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol)
     if alpha_mag == 0.0:
@@ -227,14 +243,13 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     def lower(n):  # ln of a bound on sum_{k < n} p_k, for n - 1 < mean
         return _log_poisson(n - 1, alpha_mag) - math.log1p(-(n - 1) / mean)
 
-    n_max = math.ceil(mean + 10.0 * alpha_mag + 20.0)
-    while upper(n_max) >= math.log(fock_tail_tol):
-        n_max += 1
+    log_tol = math.log(fock_tail_tol)
+    n_max = _edge(math.ceil(mean + 10.0 * alpha_mag + 20.0), 1,
+                  lambda n: upper(n) >= log_tol)
     tail_mass = math.exp(upper(n_max))
     room = math.log(fock_tail_tol - tail_mass)
-    n_min = max(0, math.floor(mean - 10.0 * alpha_mag - 20.0))
-    while n_min > 0 and lower(n_min) >= room:
-        n_min -= 1
+    n_min = _edge(max(0, math.floor(mean - 10.0 * alpha_mag - 20.0)), -1,
+                  lambda n: n > 0 and lower(n) >= room)
     if n_min > 0:
         tail_mass += math.exp(lower(n_min))
 
@@ -354,8 +369,7 @@ def _spectral_sums(p, q, n1, root, T, h):
     w_n h / (2 pi) mod 1 by exact products, so no phase carries the
     rounding of a large product.  A grid time differs from its t_k by a
     skew of a few ulps, which each sum follows to first order: a second
-    transform gives its rate sum_n i w_n c_n exp(i w_n t_k), with the
-    mid-band w_n taken out of the weights to keep them small.  A block is
+    transform gives its rate sum_n i w_n c_n exp(i w_n t_k).  A block is
     anchored at its first time: there the direct sums are taken, and
     elsewhere in the block those values plus the spectral change since the
     anchor, which is 0 at the anchor itself.
@@ -390,7 +404,6 @@ def _spectral_sums(p, q, n1, root, T, h):
     def band_sum(band, centre, skew):
         """sum_n c_n exp(i w_n T) at the block's times."""
         c, w, w_lo, node = band
-        mid = w[w.size // 2]
         grid.fill(0.0)
         for s in range(0, w.size, piece):
             e = s + piece
@@ -399,15 +412,15 @@ def _spectral_sums(p, q, n1, root, T, h):
             cell = np.floor(node[s:e])
             kernel = np.exp(-beta * (offsets - (node[s:e] - cell)[:, None]) ** 2)
             index = ((cell.astype(np.intp)[:, None] + offsets) % cells).ravel()
-            # the sum, and its rate less mid-band times it
-            for row, x in zip(grid, (a, a * (w[s:e] - mid))):
+            # the sum, and its rate
+            for row, x in zip(grid, (a, a * w[s:e])):
                 row.real += np.bincount(index, (x.real[:, None] * kernel).ravel(), cells)
                 row.imag += np.bincount(index, (x.imag[:, None] * kernel).ravel(), cells)
         ifft(grid, axis=-1, out=grid)
         value, rate = grid[:, bins[:skew.size]]
         value *= deconv[:skew.size]
         rate *= deconv[:skew.size]
-        value += 1j * skew * (mid * value + rate)  # first order in the skew
+        value += 1j * skew * rate  # first order in the skew
         return value
 
     rho_ee, rho_gg, coh = (np.empty(T.size) for _ in range(3))

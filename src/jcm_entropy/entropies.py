@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dynamics import ETA_TOL, _check_tolerance, _first, _item
+from .dynamics import ETA_TOL, SERIES_TOL, _check_tolerance, _first, _item
 from .errors import DomainError, PrecisionLossError
 
 LN2 = math.log(2.0)
@@ -110,13 +110,13 @@ def _sum_series(eta, power: int, series_tol: float) -> np.ndarray:
         f"halvings of the step at eta = {eta.flat[idx[0]].item()!r}")
 
 
-def von_neumann_series(eta, series_tol: float = 1e-14):
+def von_neumann_series(eta, series_tol: float = SERIES_TOL):
     """von Neumann entropy ln 2 - sum eta^{2n}/(2n(2n-1)) on all of [0, 1], the
     independent cross-check of :func:`von_neumann_entropy`; 1/(2n(2n-1)) = B(2n-1, 2)."""
     return _item(LN2 - _sum_series(eta, 1, series_tol))
 
 
-def wehrl_entropy_series(eta, series_tol: float = 1e-14):
+def wehrl_entropy_series(eta, series_tol: float = SERIES_TOL):
     """Atomic Wehrl entropy ln(4pi) - sum eta^{2n}/(2n(2n-1)(2n+1)) on all of
     [0, 1]; 1/(2n(2n-1)(2n+1)) = B(2n-1, 3)/2."""
     return _item(LN4PI - 0.5 * _sum_series(eta, 2, series_tol))
@@ -151,7 +151,7 @@ def normalized_entropies(gamma, wehrl):
     return _item(gamma / LN2), _item((LN4PI - wehrl) / WEHRL_SPAN)
 
 
-def entropy_record(eta, series_tol: float = 1e-14) -> dict:
+def entropy_record(eta, series_tol: float = SERIES_TOL) -> dict:
     """Every measure (both Wehrl routes) at one eta or a grid of them.
 
     The six entropy columns of a sweep, keyed by column name; each has the

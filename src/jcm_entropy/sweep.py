@@ -60,11 +60,6 @@ def _on_grid(t: np.ndarray, fn):
     raise error
 
 
-# Grid points per pass through the stages of run_sweep: their temporaries
-# grow with this, not with the grid.
-SWEEP_POINTS = 2 ** 12
-
-
 def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
     """The output columns at the grid points ``t``, each stage run once."""
     b = dynamics.bloch_vector(dynamics.reduced_density(amps, t))
@@ -78,12 +73,12 @@ def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
 
-    The Fock amplitudes are built once.  The grid is then taken
-    ``SWEEP_POINTS`` points at a time; for each run of points the Bloch
-    vector, the entropies and, when ``with_oracle`` is set, the slow
-    spherical quadrature are each computed at once, into columns allocated
-    for the whole grid.  A DomainError or PrecisionLossError names the first
-    grid point at which any stage fails.
+    The Fock amplitudes are built once.  The grid is then taken in runs of
+    ``dynamics.SPECTRAL_BLOCK`` points, so temporaries grow with that, not
+    the grid; for each run the Bloch vector, the entropies and, when
+    ``with_oracle`` is set, the slow spherical quadrature are each computed
+    at once, into columns allocated for the whole grid.  A DomainError or
+    PrecisionLossError names the first grid point at which any stage fails.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -95,8 +90,9 @@ def run_sweep(config: dynamics.SimulationConfig,
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
-    for lo in range(0, t.size, SWEEP_POINTS):
-        part = t[lo:lo + SWEEP_POINTS]
+    # each run is exactly one spectral block, with one anchor
+    for lo in range(0, t.size, dynamics.SPECTRAL_BLOCK):
+        part = t[lo:lo + dynamics.SPECTRAL_BLOCK]
         values = _on_grid(part, lambda T: _stages(T, amps, config, quad))
         for name in columns[1:]:
             data[name][lo:lo + part.size] = values[name]

@@ -202,17 +202,24 @@ class TestMain:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency: importing it would cost the CLI most
-    # of its start-up time, and no library route needs it, the triple sum
-    # included.  numpy.fft is loaded by the spectral route of
-    # reduced_density when it runs, not on import.
+    # numpy is the one runtime dependency: importing the CLI, and running the
+    # triple sum, may add to what a bare interpreter loads (site hooks
+    # included) only stdlib, numpy and jcm_entropy modules, so no scipy,
+    # which would cost the CLI most of its start-up time.  numpy.fft is loaded
+    # by the spectral route of reduced_density when it runs, not on import.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, jcm_entropy as j, jcm_entropy.cli; "
-            "fft = sorted(m for m in sys.modules if m.startswith('numpy.fft')); "
-            "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')), fft)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[] []"
+
+    def loaded(code):
+        code = f"import sys; {code}print(' '.join(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    bare = loaded("")
+    added = loaded("import jcm_entropy as j, jcm_entropy.cli; "
+                   "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); ")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "jcm_entropy"}
+    assert sorted(m for m in added - bare if m.split(".")[0] not in allowed) == []
+    assert sorted(m for m in added if m.startswith("numpy.fft")) == []

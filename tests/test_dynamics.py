@@ -7,7 +7,6 @@ import types
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from jcm_entropy import (
     AtomicDensityMatrix,
@@ -55,11 +54,12 @@ def brute_force_density(alpha_mag, alpha_phase, T, n_max):
 
 
 def joint_evolution_density(alpha_mag, alpha_phase, T, n_max):
-    """Reduced atomic state from the Hamiltonian: matrix exponential, partial trace.
+    """Reduced atomic state from the Hamiltonian: its eigenbasis, partial trace.
 
     Oracle: evolves |e> (x) |alpha> on the atom (x) Fock space with
-    expm(-i T (sigma+ a + sigma- a^dag)) and traces out the field, so no Rabi
-    frequency sqrt(n+1) is written down anywhere.  Fock states run to
+    exp(-i T H), H = sigma+ a + sigma- a^dag, from the eigenpairs of the real
+    symmetric H that ``np.linalg.eigh`` finds, and traces out the field, so no
+    Rabi frequency sqrt(n+1) is written down anywhere.  Fock states run to
     n_max + 1 photons; the truncated H still couples |e,n> only with
     |g,n+1>, so the evolution of a state supported on n <= n_max is exact.
     Returns the 2x2 density matrix in the (e, g) basis.
@@ -72,7 +72,9 @@ def joint_evolution_density(alpha_mag, alpha_phase, T, n_max):
     field = np.zeros(dim, complex)
     field[: n_max + 1] = np.exp(0.5 * poisson_log_weights(alpha_mag, n)
                                 + 1j * alpha_phase * n)
-    psi = (expm(-1j * T * H) @ np.kron([1.0, 0.0], field)).reshape(2, dim)
+    lam, V = np.linalg.eigh(H)
+    psi = V @ (np.exp(-1j * T * lam) * (V.T @ np.kron([1.0, 0.0], field)))
+    psi = psi.reshape(2, dim)
     return psi @ psi.conj().T
 
 
@@ -148,6 +150,30 @@ def mp_poisson(alpha_mag, n):
     return mpmath.exp(n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1))
 
 
+def stepwise_window(alpha_mag, tol):
+    """(n_min, n_max, tail_mass) of the Fock window, each edge widened one
+    photon at a time from its floor rule while its tail bound is too big."""
+    mean = alpha_mag ** 2
+
+    def upper(n):
+        return dynamics._log_poisson(n + 1, alpha_mag) - math.log1p(-mean / (n + 2))
+
+    def lower(n):
+        return dynamics._log_poisson(n - 1, alpha_mag) - math.log1p(-(n - 1) / mean)
+
+    n_max = math.ceil(mean + 10.0 * alpha_mag + 20.0)
+    while upper(n_max) >= math.log(tol):
+        n_max += 1
+    tail_mass = math.exp(upper(n_max))
+    room = math.log(tol - tail_mass)
+    n_min = max(0, math.floor(mean - 10.0 * alpha_mag - 20.0))
+    while n_min > 0 and lower(n_min) >= room:
+        n_min -= 1
+    if n_min > 0:
+        tail_mass += math.exp(lower(n_min))
+    return n_min, n_max, tail_mass
+
+
 class TestCoherentAmplitudes:
     @pytest.mark.parametrize("alpha_mag", [1e8, 1e155])
     def test_refuses_photon_numbers_beyond_exact_floats(self, alpha_mag):
@@ -215,6 +241,26 @@ class TestCoherentAmplitudes:
                 dropped += term
                 n += 1
         assert dropped <= amps.tail_mass
+
+    def test_window_search_matches_one_photon_steps(self):
+        # each edge is searched for; widening it one photon at a time finds
+        # the same window, and so the same weights and tail_mass bit for bit
+        for alpha_mag in (0.01, 0.3, 1.0, 3.0, 7.0, 30.0, 100.0, 1000.0):
+            for tol in (0.5, 1e-3, 1e-12, 1e-100, 1e-300, 1e-320):
+                amps = coherent_amplitudes(alpha_mag, 0.0, tol)
+                window = (amps.n_min, amps.n_max, amps.tail_mass)
+                assert window == stepwise_window(alpha_mag, tol), (alpha_mag, tol)
+
+    def test_window_search_takes_log_steps(self, monkeypatch):
+        # one photon a step took 54163 calls here; a search takes at most
+        # 2 ceil(log2(d + 1)) for an edge d photons from where it starts,
+        # and d < 40|alpha|, then one call for the edge's own tail bound
+        calls = []
+        real = dynamics._log_poisson
+        monkeypatch.setattr(dynamics, "_log_poisson",
+                            lambda n, a: calls.append(n) or real(n, a))
+        coherent_amplitudes(1000.0, 0.0, 1e-300)
+        assert len(calls) <= 2 * (2 * math.ceil(math.log2(40 * 1000.0 + 1)) + 1)
 
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)
@@ -556,6 +602,41 @@ class TestSpectralRoute:
                                             t_steps=500))
         assert spectral_calls == []
         assert np.all(result.data["sz"] == result.data["sz"][0])
+
+
+class TestAttractorPurity:
+    """Near half the revival time T_r = 2 pi |alpha| the atom passes through
+    Gea-Banacloche's attractor state, pure up to O(1/|alpha|^2) (PRL 65, 3385
+    (1990)): (1 - max eta)|alpha|^2 tends to a constant as |alpha| grows."""
+
+    @staticmethod
+    def purity_near_attractor(alpha_mag):
+        """(library eta, 40-digit eta) at the library's largest eta on T_r/2 +-
+        8 sqrt|alpha| (4001 points) and at its two neighbours."""
+        amps = coherent_amplitudes(alpha_mag, 0.0, 1e-12)
+        half = math.pi * alpha_mag
+        T = np.linspace(half - 8.0 * math.sqrt(alpha_mag), half + 8.0 * math.sqrt(alpha_mag),
+                        4001)
+        eta = bloch_vector(reduced_density(amps, T)).eta
+        j = int(eta.argmax())
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+            refs = []
+            for i in (j - 1, j, j + 1):
+                ee, gg, eg = mp_density(amps, T[i], roots)
+                refs.append(mpmath.sqrt(4 * abs(eg) ** 2 + (ee - gg) ** 2))
+        return eta[j - 1:j + 2], refs
+
+    def test_attractor_purity_law(self):
+        # the reference reads 0.43353 at |alpha| = 30 (T = 94.226) and 0.43345
+        # at 60 (T = 188.496), 8e-5 apart; the library is within 5e-14 of it
+        scaled = []
+        for alpha_mag in (30.0, 60.0):
+            eta, refs = self.purity_near_attractor(alpha_mag)
+            for x, ref in zip(eta.tolist(), refs):
+                assert abs(x - ref) <= 1e-12
+            scaled.append(float((1 - max(refs)) * alpha_mag ** 2))
+        assert abs(scaled[0] - scaled[1]) <= 2e-4
 
 
 class TestBlochVector:

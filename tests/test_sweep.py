@@ -97,6 +97,11 @@ class TestColumnarResult:
                             lambda amps, T: calls.append(np.size(T)) or real(amps, T))
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
+        # a sweep's runs are the spectral route's blocks, so each has one anchor
+        block = dynamics.SPECTRAL_BLOCK
+        calls.clear()
+        run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=2 * block + 1))
+        assert calls == [block, block, 1]
 
     def test_one_quadrature_call_per_sweep(self, monkeypatch):
         calls = []

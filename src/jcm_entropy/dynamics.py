@@ -203,19 +203,6 @@ def _log_poisson(n: int, alpha_mag: float) -> float:
     return -_stirlerr(n) - bd0 - 0.5 * math.log(2.0 * math.pi * n)
 
 
-def _edge(start: int, step: int, inside) -> int:
-    """The first n = start, start + step, ... at which ``inside(n)`` fails,
-    for an ``inside`` that fails at every n beyond that one: found by
-    strides that double from ``start``, then by bisection."""
-    good, bad, stride = start - step, start, 1  # good is never evaluated
-    while inside(bad):
-        good, bad, stride = bad, bad + step * stride, 2 * stride
-    while abs(bad - good) > 1:
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if inside(mid) else (good, mid)
-    return bad
-
-
 def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
                         fock_tail_tol: float) -> FockAmplitudes:
     """Coherent-state Fock amplitudes C_n = alpha^n exp(-|alpha|^2/2)/sqrt(n!).
@@ -225,11 +212,9 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     n_min = max(0, floor(|alpha|^2 - 10|alpha| - 20)), each widened until the
     Poisson mass dropped beyond it, bounded by a geometric series, stays
     below ``fock_tail_tol`` (the mass above n_max first, then the two
-    together).  Each bound only falls as its edge moves away from the mode,
-    so each edge is found by a search (``_edge``), in O(log |alpha|) steps.
-    The weights |C_n| are built by the ratio recurrence outward from the
-    mode floor(|alpha|^2), starting from 1 there, and then renormalized, so
-    nothing underflows at large |alpha|.
+    together).  The weights |C_n| are built by the ratio recurrence outward
+    from the mode floor(|alpha|^2), starting from 1 there, and then
+    renormalized, so nothing underflows at large |alpha|.
     """
     _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol)
     if alpha_mag == 0.0:
@@ -243,13 +228,14 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     def lower(n):  # ln of a bound on sum_{k < n} p_k, for n - 1 < mean
         return _log_poisson(n - 1, alpha_mag) - math.log1p(-(n - 1) / mean)
 
-    log_tol = math.log(fock_tail_tol)
-    n_max = _edge(math.ceil(mean + 10.0 * alpha_mag + 20.0), 1,
-                  lambda n: upper(n) >= log_tol)
+    n_max = math.ceil(mean + 10.0 * alpha_mag + 20.0)
+    while upper(n_max) >= math.log(fock_tail_tol):
+        n_max += 1
     tail_mass = math.exp(upper(n_max))
     room = math.log(fock_tail_tol - tail_mass)
-    n_min = _edge(max(0, math.floor(mean - 10.0 * alpha_mag - 20.0)), -1,
-                  lambda n: n > 0 and lower(n) >= room)
+    n_min = max(0, math.floor(mean - 10.0 * alpha_mag - 20.0))
+    while n_min > 0 and lower(n_min) >= room:
+        n_min -= 1
     if n_min > 0:
         tail_mass += math.exp(lower(n_min))
 

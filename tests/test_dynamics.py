@@ -150,30 +150,6 @@ def mp_poisson(alpha_mag, n):
     return mpmath.exp(n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1))
 
 
-def stepwise_window(alpha_mag, tol):
-    """(n_min, n_max, tail_mass) of the Fock window, each edge widened one
-    photon at a time from its floor rule while its tail bound is too big."""
-    mean = alpha_mag ** 2
-
-    def upper(n):
-        return dynamics._log_poisson(n + 1, alpha_mag) - math.log1p(-mean / (n + 2))
-
-    def lower(n):
-        return dynamics._log_poisson(n - 1, alpha_mag) - math.log1p(-(n - 1) / mean)
-
-    n_max = math.ceil(mean + 10.0 * alpha_mag + 20.0)
-    while upper(n_max) >= math.log(tol):
-        n_max += 1
-    tail_mass = math.exp(upper(n_max))
-    room = math.log(tol - tail_mass)
-    n_min = max(0, math.floor(mean - 10.0 * alpha_mag - 20.0))
-    while n_min > 0 and lower(n_min) >= room:
-        n_min -= 1
-    if n_min > 0:
-        tail_mass += math.exp(lower(n_min))
-    return n_min, n_max, tail_mass
-
-
 class TestCoherentAmplitudes:
     @pytest.mark.parametrize("alpha_mag", [1e8, 1e155])
     def test_refuses_photon_numbers_beyond_exact_floats(self, alpha_mag):
@@ -241,26 +217,6 @@ class TestCoherentAmplitudes:
                 dropped += term
                 n += 1
         assert dropped <= amps.tail_mass
-
-    def test_window_search_matches_one_photon_steps(self):
-        # each edge is searched for; widening it one photon at a time finds
-        # the same window, and so the same weights and tail_mass bit for bit
-        for alpha_mag in (0.01, 0.3, 1.0, 3.0, 7.0, 30.0, 100.0, 1000.0):
-            for tol in (0.5, 1e-3, 1e-12, 1e-100, 1e-300, 1e-320):
-                amps = coherent_amplitudes(alpha_mag, 0.0, tol)
-                window = (amps.n_min, amps.n_max, amps.tail_mass)
-                assert window == stepwise_window(alpha_mag, tol), (alpha_mag, tol)
-
-    def test_window_search_takes_log_steps(self, monkeypatch):
-        # one photon a step took 54163 calls here; a search takes at most
-        # 2 ceil(log2(d + 1)) for an edge d photons from where it starts,
-        # and d < 40|alpha|, then one call for the edge's own tail bound
-        calls = []
-        real = dynamics._log_poisson
-        monkeypatch.setattr(dynamics, "_log_poisson",
-                            lambda n, a: calls.append(n) or real(n, a))
-        coherent_amplitudes(1000.0, 0.0, 1e-300)
-        assert len(calls) <= 2 * (2 * math.ceil(math.log2(40 * 1000.0 + 1)) + 1)
 
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)

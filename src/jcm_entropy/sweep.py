@@ -100,37 +100,51 @@ def run_sweep(config: dynamics.SimulationConfig,
     return SweepResult(config=config, data=data)
 
 
+def _row_blocks(result: SweepResult, render, sep: str, end: str):
+    """The text of the rows by ``render`` (a ``_g17`` renderer), one block
+    of at most ``_g17.BLOCK`` values at a time, each value followed by
+    ``sep`` and each row's last by ``end``."""
+    from . import _g17  # loaded only when a sweep is rendered: not on import
+
+    columns = [result.data[name] for name in result.columns]
+    ends = np.full(len(columns), ord(sep), dtype=np.uint8)
+    ends[-1] = ord(end)
+    rows = max(1, _g17.BLOCK // len(columns))
+    for lo in range(0, columns[0].size, rows):
+        yield render(np.stack([column[lo:lo + rows] for column in columns], axis=1), ends)
+
+
 def _render_csv(result: SweepResult) -> list[bytes]:
     """The CSV text as bytes: the header, then the rows ``_g17.BLOCK``
     values at a time, each value ``"%.17g" % x`` byte for byte."""
-    from . import _g17  # loaded only when a CSV is rendered: not on import
+    from . import _g17
 
-    columns = [result.data[name] for name in result.columns]
-    ends = np.full(len(columns), ord(","), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    rows = max(1, _g17.BLOCK // len(columns))
-    parts = [(",".join(result.columns) + "\n").encode()]
-    for lo in range(0, columns[0].size, rows):
-        block = np.stack([column[lo:lo + rows] for column in columns], axis=1)
-        parts.append(_g17.render(block, ends))
-    return parts
+    header = (",".join(result.columns) + "\n").encode()
+    return [header, *_row_blocks(result, _g17.render, ",", "\n")]
 
 
-def _render_structured(result: SweepResult) -> str:
+def _render_structured(result: SweepResult) -> list[bytes]:
     """``json.dumps(payload, indent=2) + "\\n"`` for the payload of config,
-    columns and rows, byte for byte.
+    columns and rows, byte for byte, as bytes.
 
-    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
-    rows, the bulk of the text, go through the C encoder in one call
-    (``[[a, b], [c, d]]``), and its separators are then re-indented.  A
-    float's text holds no ``,`` or ``]``, and a sweep has at least one row.
+    The head is ``json.dumps`` of the payload with no rows.  The rows, the
+    bulk of the text, are rendered ``_g17.BLOCK`` values at a time, each
+    value as ``json.dumps`` gives a float, followed by ``;`` within a row
+    and ``|`` at its end, bytes that no float's text holds; each block's
+    ends are then replaced by the indented separators, and the last row's
+    by the payload's closing lines.
     """
-    head = json.dumps({"config": asdict(result.config),
-                       "columns": list(result.columns)}, indent=2)
-    rows = json.dumps(np.stack(list(result.data.values()), axis=1).tolist())
-    rows = rows[2:-2].replace(", ", ",\n      ").replace(
-        "],\n      [", "\n    ],\n    [\n      ")
-    return head[:-2] + ',\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]\n}\n"
+    from . import _g17
+
+    value_sep, row_sep = b",\n      ", b"\n    ],\n    [\n      "
+    head = json.dumps({"config": asdict(result.config), "columns": list(result.columns),
+                       "rows": []}, indent=2) + "\n"
+    blocks = [block.replace(b";", value_sep).replace(b"|", row_sep)
+              for block in _row_blocks(result, _g17.render_repr, ";", "|")]
+    if not blocks:
+        return [head.encode()]
+    blocks[-1] = blocks[-1][:-len(row_sep)] + b"\n    ]\n  ]\n}\n"
+    return [head[:-4].encode() + b"\n    [\n      ", *blocks]
 
 
 def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> None:
@@ -144,7 +158,7 @@ def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> N
     if format == "csv":
         parts = _render_csv(result)
     elif format == "structured":
-        parts = [_render_structured(result).encode()]
+        parts = _render_structured(result)
     else:
         raise ValueError(f"unknown format {format!r}")
 

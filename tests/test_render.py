@@ -1,12 +1,17 @@
-"""The array renderer of CSV values against Python's ``"%.17g" % x``, its
-oracle, byte for byte; emit's destinations; rendering's working memory."""
+"""The array renderers against their oracles, byte for byte: CSV values
+against Python's ``"%.17g" % x``, JSON values against ``float.__repr__``
+and whole JSON sweeps against ``json.dumps``; emit's destinations;
+rendering's working memory."""
 
+import dataclasses
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +158,26 @@ def test_rendering_memory_is_bounded_by_the_block(tmp_path):
     assert peak - size <= 1024 * _g17.BLOCK
 
 
+def test_json_rendering_memory_is_bounded_by_the_block(tmp_path):
+    # the same 200000 rows as JSON, about 60 MB: the route through
+    # `tolist` and one `json.dumps` of all rows peaked 121 MiB beyond it
+    rows = 200_000
+    rng = np.random.default_rng(3)
+    data = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+            for name in BASE_COLUMNS}
+    result = SweepResult(SimulationConfig(alpha_mag=1.0), data)
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        emit(result, format="structured", path=str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 50 * 10 ** 6
+    assert peak - size <= 1024 * _g17.BLOCK
+
+
 def test_renderer_loads_with_the_first_csv():
     # the import of the CLI, all that an import-only start pays, leaves it out
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -165,3 +190,153 @@ def test_renderer_loads_with_the_first_csv():
     out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_renderer_loads_with_the_first_json():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, jcm_entropy.cli as cli; "
+            "before = 'jcm_entropy._g17' in sys.modules; "
+            "cli.main(['--alpha-mag', '1', '--t-steps', '3', '--format', 'structured', "
+            "'--output', sys.argv[1]]); "
+            "print(before, 'jcm_entropy._g17' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
+# The JSON route: each value as float.__repr__ gives it, in JSON's spelling.
+
+def repr_lines(values) -> bytes:
+    """The oracle: one ``float.__repr__`` per value, one value a line."""
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    texts = map(float.__repr__, np.asarray(values, dtype=np.float64).reshape(-1).tolist())
+    return "".join(special.get(text, text) + "\n" for text in texts).encode()
+
+
+def assert_renders_as_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _g17.render_repr(values, ord("\n"))
+    want = repr_lines(values)
+    if got != want:
+        pairs = zip(got.split(b"\n"), want.split(b"\n"), values.tolist())
+        bad = [(x, g, w) for g, w, x in pairs if g != w]
+        pytest.fail(f"{len(bad)} values differ, first {bad[:3]}")
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_repr_any_floats(xs):
+    assert_renders_as_repr(xs)
+
+
+def test_repr_random_bit_patterns():
+    bits = np.random.default_rng(14).integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    assert_renders_as_repr(bits.view(np.float64))
+
+
+def test_repr_powers_of_two_and_their_neighbours():
+    # the rounding interval of a power of two is narrower below it
+    values = [x for j in range(-1074, 1024) for x in around(2.0 ** j)]
+    assert_renders_as_repr(values + [-x for x in values])
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16])
+def test_repr_both_sides_of_each_notation_switch(edge):
+    # X = -5 | -4 switches to fixed notation, X = 15 | 16 back out of it
+    values = around(edge)
+    assert_renders_as_repr(values + [-x for x in values])
+
+
+def test_repr_notation_switches():
+    values = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, 5e-5]
+    assert _g17.render_repr(np.array(values), ord(",")) == \
+        b"9.999999999999999e-05,0.0001,9999999999999998.0,1e+16,5e-05,"
+
+
+def test_repr_integral_values():
+    assert _g17.render_repr(np.array([1.0, 100.0, 1e16, -7.0]), ord(",")) == \
+        b"1.0,100.0,1e+16,-7.0,"
+    rng = np.random.default_rng(15)
+    values = ([float(n) for n in range(-1000, 1001)] + [10.0 ** j for j in range(17)]
+              + np.floor(10.0 ** rng.uniform(0, 16, 20_000)).tolist())
+    assert_renders_as_repr(values)
+
+
+def test_repr_signed_zeros_subnormals_and_specials():
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310,
+              sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+              sys.float_info.max, -sys.float_info.max]
+    assert _g17.render_repr(np.array(values[:5]), ord(",")) == \
+        b"0.0,-0.0,NaN,Infinity,-Infinity,"
+    assert_renders_as_repr(values)
+
+
+def near_a_boundary(x: float) -> bool:
+    """Whether a candidate that decides ``repr(x)``, its decimal of 15, 16
+    or 17 significant digits nearest x, lies within 1e-8 units of the 17th
+    digit of a rounding tie or of the midpoint to a neighbouring double;
+    in exact arithmetic."""
+    q = abs(Fraction(x))
+    k = math.floor(math.log10(q))
+    k += (q >= Fraction(10) ** (k + 1)) - (q < Fraction(10) ** k)
+    scale = Fraction(10) ** (16 - k)
+    xs, half = q * scale, Fraction(math.ulp(x)) / 2 * scale
+    eps = Fraction(1, 10 ** 8)
+    for unit in (100, 10, 1):
+        d = abs(xs - unit * round(xs / unit))
+        if abs(d - half) <= eps or abs(d - Fraction(unit, 2)) <= eps:
+            return True
+        if d < half:
+            return False
+    return False
+
+
+def test_repr_falls_back_only_where_listed():
+    # 18014398509481988 and ...92 (multiples of 4, the spacing there) are
+    # each off the 16-digit 18014398509481990 by exactly half an ulp
+    rng = np.random.default_rng(16)
+    boundary = [18014398509481988.0, 18014398509481992.0]
+    values = np.concatenate([
+        rng.standard_normal(100_000) * 10.0 ** rng.integers(-20, 20, 100_000),
+        np.random.default_rng(17).integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+        np.linspace(0.0, 30.0, 4000), boundary])
+    _, _, slow = _g17._decimal(values, True)
+    a = np.abs(values)
+    listed = ~((a >= 1e-200) & (a < 1e200)) | (np.frexp(a)[0] == 0.5)
+    assert not np.any(slow & (values == 0.0))
+    rest = values[slow & ~listed].tolist()
+    assert boundary[0] in rest and boundary[1] in rest
+    assert all(near_a_boundary(x) for x in rest), rest
+    assert_renders_as_repr(values)
+
+
+def json_oracle(result) -> bytes:
+    """The structured text of a sweep by ``json.dumps`` of the whole payload."""
+    rows = np.stack([result.data[name] for name in result.columns], axis=1).tolist()
+    payload = {"config": dataclasses.asdict(result.config),
+               "columns": list(result.columns), "rows": rows}
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("steps", [1000, 1])
+def test_structured_matches_json_dumps_route(steps, tmp_path):
+    # 1000 rows of 12 columns span three render blocks; one row is all
+    # that the closing lines replace
+    config = SimulationConfig(alpha_mag=3.0, t_start=0.5, t_end=20.0, t_steps=steps,
+                              quad_theta_order=16, quad_phi_order=32)
+    result = run_sweep(config, with_oracle=True)
+    assert steps == 1 or result.data["t"].size * len(result.columns) > 2 * _g17.BLOCK
+    out = tmp_path / "sweep.json"
+    emit(result, format="structured", path=str(out))
+    assert out.read_bytes() == json_oracle(result)
+
+
+def test_structured_without_rows_matches_json_dumps(tmp_path):
+    result = SweepResult(SimulationConfig(alpha_mag=1.0),
+                         {name: np.empty(0) for name in BASE_COLUMNS})
+    out = tmp_path / "empty.json"
+    emit(result, format="structured", path=str(out))
+    assert out.read_bytes() == json_oracle(result)

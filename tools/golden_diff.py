@@ -7,7 +7,8 @@ Each tree is a checkout of this repository (its ``src/`` is put on
 trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
 |alpha| = 200 out to 1.1 revival times (a large basis on the spectral
 route of ``reduced_density``), a one-point grid, a grid starting next to
-the pure state, and the oracle column as CSV and JSON.  For each column the
+the pure state (as CSV, and as JSON, whose small ``t`` print in exponent
+notation), and the oracle column as CSV and JSON.  For each column the
 worst absolute difference and the worst difference in units in the last
 place are printed, with the config and eta where the ulp worst occurs.  An
 ulp is that of the column's scale in the config, its largest finite |value|
@@ -55,6 +56,8 @@ CONFIGS = {
                   "--t-steps", "1"],
     "near-pure": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",
                   "--t-steps", "500", "--with-oracle"],
+    "near-pure-json": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",
+                       "--t-steps", "500", "--with-oracle", "--format", "structured"],
     "oracle-csv": ["--alpha-mag", "3", "--alpha-phase", "0.4", "--t-end", "20",
                    "--t-steps", "300", "--with-oracle"],
 }

@@ -258,12 +258,11 @@ CHUNK_ELEMENTS = 2 ** 13
 # at least SPECTRAL_MIN_TIMES times and SPECTRAL_MIN_PHASES Rabi phases
 # (times x basis terms), where it measured faster than the direct sums, and
 # for a basis of more than one term (every |alpha| > 0 keeps at least 21).
-# It works through the grid SPECTRAL_BLOCK times at a time.  SPECTRAL_TOL
+# It sums the whole grid as one block, anchored at T[0].  SPECTRAL_TOL
 # bounds, against the exact sums, how far each of rho_ee, rho_gg and rho_eg
-# moves from its value at the block anchor.
+# moves from its value at T[0].
 SPECTRAL_MIN_TIMES = 2 ** 7
 SPECTRAL_MIN_PHASES = 2 ** 17
-SPECTRAL_BLOCK = 2 ** 12
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # a uniform grid lies within this of T[0] + j*h
 # a phase's ulp is 2 radians or more from here on; the limit also keeps the
@@ -347,28 +346,25 @@ def _spectral_sums(p, q, n1, root, T, h):
 
     With r_n = sqrt(n+1), rho_ee - rho_gg = sum p_n cos(2 T r_n) and
     coh = 1/2 sum q_n [sin(T (r_n + r_{n+1})) - sin(T (r_{n+1} - r_n))]: three
-    sums sum c_n exp(i w_n T), each summed over a block of times t_k =
-    centre + k h as a type-1 nonuniform FFT: each term is spread with a
-    Gaussian onto a twice oversampled grid (``np.bincount``), the grid is
-    inverse-transformed and the Gaussian divided out.  The frequencies are
-    formed in double-double and the phases w_n * centre and the nodes
-    w_n h / (2 pi) mod 1 by exact products, so no phase carries the
-    rounding of a large product.  A grid time differs from its t_k by a
+    sums sum c_n exp(i w_n T), each summed over the whole grid, at times
+    t_k = centre + k h, as one type-1 nonuniform FFT: each term is spread
+    with a Gaussian onto a twice oversampled grid (``np.bincount``), the
+    grid is inverse-transformed and the Gaussian divided out.  The
+    frequencies are formed in double-double and the phases w_n * centre and
+    the nodes w_n h / (2 pi) mod 1 by exact products, so no phase carries
+    the rounding of a large product.  A grid time differs from its t_k by a
     skew of a few ulps, which each sum follows to first order: a second
-    transform gives its rate sum_n i w_n c_n exp(i w_n t_k).  A block is
-    anchored at its first time: there the direct sums are taken, and
-    elsewhere in the block those values plus the spectral change since the
-    anchor, which is 0 at the anchor itself.
+    transform gives its rate sum_n i w_n c_n exp(i w_n t_k).  The grid is
+    anchored at T[0]: there the direct sums are taken, and elsewhere those
+    values plus the spectral change since T[0], which is 0 at T[0] itself.
     """
     from numpy.fft import ifft  # loaded only when this route runs
 
-    blocks = -(-T.size // SPECTRAL_BLOCK)
-    size = -(-T.size // blocks)  # times a block, fewer in the last
-    modes = size + size % 2
+    modes = T.size + T.size % 2
     cells = 2 * modes
     tau = math.pi * _HALF_WIDTH / (3.0 * modes * modes)
     beta = 0.75 * math.pi / _HALF_WIDTH  # (2 pi / cells)^2 / (4 tau)
-    k = np.arange(size) - modes // 2  # the mode of each time of a block
+    k = np.arange(T.size) - modes // 2  # the mode of each time
     deconv = math.sqrt(math.pi / tau) * np.exp(tau * k * k)
     bins = k % cells
     offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)  # cells about a node's own
@@ -387,8 +383,14 @@ def _spectral_sums(p, q, n1, root, T, h):
     bands = [(c, w, w_lo, _nodes(w, w_lo, step, step_lo, cells)) for c, w, w_lo in bands]
     del prod, err, root_lo, pair, pair_lo
 
-    def band_sum(band, centre, skew):
-        """sum_n c_n exp(i w_n T) at the block's times."""
+    centre = T[0] + (modes // 2) * h  # the time of mode 0
+    # skew = T - (centre + k h), exact to rounding
+    diff, diff_err = _two_sum(T, -centre)
+    kh, kh_err = _two_prod(k.astype(float), h)
+    skew = (diff - kh) + (diff_err - kh_err)
+
+    def band_sum(band):
+        """sum_n c_n exp(i w_n T) at the grid's times."""
         c, w, w_lo, node = band
         grid.fill(0.0)
         for s in range(0, w.size, piece):
@@ -403,30 +405,19 @@ def _spectral_sums(p, q, n1, root, T, h):
                 row.real += np.bincount(index, (x.real[:, None] * kernel).ravel(), cells)
                 row.imag += np.bincount(index, (x.imag[:, None] * kernel).ravel(), cells)
         ifft(grid, axis=-1, out=grid)
-        value, rate = grid[:, bins[:skew.size]]
-        value *= deconv[:skew.size]
-        rate *= deconv[:skew.size]
+        value, rate = grid[:, bins]
+        value *= deconv
+        rate *= deconv
         value += 1j * skew * rate  # first order in the skew
         return value
 
-    rho_ee, rho_gg, coh = (np.empty(T.size) for _ in range(3))
-    anchor_ee, anchor_gg, anchor_coh = _direct_sums(p, q, root, T[::size])
-    for b, lo in enumerate(range(0, T.size, size)):
-        times = T[lo:lo + size]
-        centre = times[0] + (modes // 2) * h  # the time of mode 0
-        # skew = times - (centre + k h), exact to rounding
-        diff, diff_err = _two_sum(times, -centre)
-        kh, kh_err = _two_prod(k[:times.size].astype(float), h)
-        skew = (diff - kh) + (diff_err - kh_err)
-        change = band_sum(bands[0], centre, skew).real  # of rho_ee - rho_gg
-        change -= change[0]
-        sine = band_sum(bands[1], centre, skew).imag
-        sine -= band_sum(bands[2], centre, skew).imag
-        sine -= sine[0]
-        rho_ee[lo:lo + size] = anchor_ee[b] + 0.5 * change
-        rho_gg[lo:lo + size] = anchor_gg[b] - 0.5 * change
-        coh[lo:lo + size] = anchor_coh[b] + 0.5 * sine
-    return rho_ee, rho_gg, coh
+    (anchor_ee,), (anchor_gg,), (anchor_coh,) = _direct_sums(p, q, root, T[:1])
+    change = band_sum(bands[0]).real  # of rho_ee - rho_gg
+    change -= change[0]
+    sine = band_sum(bands[1]).imag
+    sine -= band_sum(bands[2]).imag
+    sine -= sine[0]
+    return anchor_ee + 0.5 * change, anchor_gg - 0.5 * change, anchor_coh + 0.5 * sine
 
 
 def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
@@ -446,16 +437,16 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     Spectral route (``_spectral_sums``), taken when T is a uniform 1-D grid
     with a nonzero step (``np.linspace`` output or a run of its points) of
     at least ``SPECTRAL_MIN_TIMES`` times and ``SPECTRAL_MIN_PHASES`` phases
-    T.size * basis.  It forms every phase exactly, so from each block
-    anchor (one every ``SPECTRAL_BLOCK`` times or fewer, the first time
-    included) each entry changes to within ``SPECTRAL_TOL`` of the exact
-    sums' change, while T*sqrt(n_max+1) stays below 1e9; at the anchors it
-    equals the direct route.  A scalar, a non-uniform array or
-    a short grid takes the direct route.
+    T.size * basis.  It forms every phase exactly, so from T[0] each entry
+    changes to within ``SPECTRAL_TOL`` of the exact sums' change, while
+    T*sqrt(n_max+1) stays below 1e9; at T[0], its one anchor, it equals the
+    direct route.  It sums the grid as one block, with working memory of
+    about 220 B a time.  A scalar, a non-uniform array or a short grid takes
+    the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums (the spectral route's
-    anchors included) keep no digit, is refused with a DomainError.
+    anchor included) keep no digit, is refused with a DomainError.
     """
     T = np.asarray(T, dtype=float)
     _require_finite("T", T)

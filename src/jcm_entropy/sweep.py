@@ -17,6 +17,9 @@ _AFTER_SERIES = BASE_COLUMNS.index("wehrl_series") + 1
 ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
 _NAMED = (DomainError, PrecisionLossError)  # the errors _on_grid places on the grid
+# Grid points per run of a sweep.  A run's temporaries, the spectral route's
+# included (about 220 B a time), grow with this, not with the grid.
+RUN_POINTS = 2 ** 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +77,8 @@ def run_sweep(config: dynamics.SimulationConfig,
     """Evaluate the full entropy record on an evenly spaced time grid.
 
     The Fock amplitudes are built once.  The grid is then taken in runs of
-    ``dynamics.SPECTRAL_BLOCK`` points, so temporaries grow with that, not
-    the grid; for each run the Bloch vector, the entropies and, when
+    ``RUN_POINTS`` points, so temporaries grow with that, not the grid; for
+    each run the Bloch vector, the entropies and, when
     ``with_oracle`` is set, the slow spherical quadrature are each computed
     at once, into columns allocated for the whole grid.  A DomainError or
     PrecisionLossError names the first grid point at which any stage fails.
@@ -90,9 +93,8 @@ def run_sweep(config: dynamics.SimulationConfig,
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
-    # each run is exactly one spectral block, with one anchor
-    for lo in range(0, t.size, dynamics.SPECTRAL_BLOCK):
-        part = t[lo:lo + dynamics.SPECTRAL_BLOCK]
+    for lo in range(0, t.size, RUN_POINTS):
+        part = t[lo:lo + RUN_POINTS]
         values = _on_grid(part, lambda T: _stages(T, amps, config, quad))
         for name in columns[1:]:
             data[name][lo:lo + part.size] = values[name]

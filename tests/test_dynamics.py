@@ -23,7 +23,6 @@ from jcm_entropy import (
 )
 from jcm_entropy import dynamics
 from jcm_entropy.dynamics import (
-    SPECTRAL_BLOCK,
     SPECTRAL_MIN_PHASES,
     SPECTRAL_MIN_TIMES,
     SPECTRAL_TOL,
@@ -449,6 +448,18 @@ class TestSpectralRoute:
         for j in (250, 600, 999):  # 0.75, 1.8 and 3 revival times
             self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
 
+    def test_against_mpmath_past_a_sweeps_run(self, spectral_calls):
+        # 12000 times, three sweep runs long, take no anchor past T[0]
+        amps = coherent_amplitudes(300.0, 0.7, 1e-12)
+        T = revival_grid(300.0, 3.0, 12000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        ref0 = mp_density(amps, T[0], roots)
+        for j in (4095, 4096, 4097, T.size // 2, T.size - 1):
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
     def test_against_mpmath_at_long_times(self, spectral_calls):
         # T near 1e6, T*sqrt(n_max+1) = 3.5e7: a grid time is off the
         # uniform grid by up to about 1e-10, which the sums follow
@@ -503,17 +514,15 @@ class TestSpectralRoute:
             assert np.abs(got - want).max() <= SPECTRAL_TOL
 
     def test_anchors_equal_the_direct_route(self, spectral_calls):
+        # a grid longer than a sweep's run is one block, with one anchor
         amps = coherent_amplitudes(30.0, 0.4, 1e-12)
         T = np.linspace(0.0, 200.0, 10000)
         rho = reduced_density(amps, T)
-        assert spectral_calls == [T.size]
-        blocks = -(-T.size // SPECTRAL_BLOCK)
-        anchors = np.arange(0, T.size, -(-T.size // blocks))
-        assert anchors.size == blocks == 3
-        want = pointwise_density(amps, T[anchors])
+        assert spectral_calls == [10000]
+        want = pointwise_density(amps, T[:1])
         for got, expected in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), want):
-            assert np.array_equal(got[anchors], expected)
-        # T = 0 is an anchor: the initial state is the direct route's
+            assert np.array_equal(got[:1], expected)
+        # T = 0 is the anchor: the initial state is the direct route's
         assert (rho.rho_gg[0], rho.rho_eg[0]) == (0.0, 0.0)
         b, b0 = bloch_vector(rho), bloch_vector(reduced_density(amps, 0.0))
         assert (b.sx[0], b.sy[0], b.sz[0], b.eta[0]) == (b0.sx, b0.sy, b0.sz, b0.eta)

@@ -24,7 +24,7 @@ from jcm_entropy import (
     run_sweep,
     wehrl_entropy_quadrature,
 )
-from jcm_entropy import dynamics, husimi
+from jcm_entropy import dynamics, husimi, sweep
 from jcm_entropy.cli import main
 from jcm_entropy.dynamics import CHUNK_ELEMENTS
 from jcm_entropy.husimi import QUAD_ELEMENTS
@@ -98,7 +98,7 @@ class TestColumnarResult:
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
         # a sweep's runs are the spectral route's blocks, so each has one anchor
-        block = dynamics.SPECTRAL_BLOCK
+        block = sweep.RUN_POINTS
         calls.clear()
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=2 * block + 1))
         assert calls == [block, block, 1]

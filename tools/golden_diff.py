@@ -6,9 +6,11 @@ Each tree is a checkout of this repository (its ``src/`` is put on
 ``PYTHONPATH``).  The CLI runs on a fixed list of configurations for both
 trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
 |alpha| = 200 out to 1.1 revival times (a large basis on the spectral
-route of ``reduced_density``), a one-point grid, a grid starting next to
-the pure state (as CSV, and as JSON, whose small ``t`` print in exponent
-notation), and the oracle column as CSV and JSON.  For each column the
+route of ``reduced_density``), a one-point grid, a grid one point longer
+than a sweep's run (its last run is one point, on the direct route), a
+grid starting next to the pure state (as CSV, and as JSON, whose small
+``t`` print in exponent notation), and the oracle column as CSV and
+JSON.  For each column the
 worst absolute difference and the worst difference in units in the last
 place are printed, with the config and eta where the ulp worst occurs.  An
 ulp is that of the column's scale in the config, its largest finite |value|
@@ -54,6 +56,7 @@ CONFIGS = {
                   "--t-steps", "20000"],
     "one-point": ["--alpha-mag", "2", "--t-start", "1.5", "--t-end", "1.5",
                   "--t-steps", "1"],
+    "run-boundary": ["--alpha-mag", "30", "--t-end", "60", "--t-steps", "4097"],
     "near-pure": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",
                   "--t-steps", "500", "--with-oracle"],
     "near-pure-json": ["--alpha-mag", "7", "--t-start", "5e-5", "--t-end", "0.5",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments, 1 numerical-domain violation.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .dynamics import SimulationConfig
@@ -45,7 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the start of a negative value in any notation float() reads: argparse
+# takes one it has no pattern for (-1e-3, -inf) for an option, not a value
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # "--name -1e-3" as "--name=-1e-3"
+        if _NEGATIVE.match(argv[k]) and re.fullmatch(r"--[^=]+", argv[k - 1]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = vars(build_parser().parse_args(argv))
     with_oracle, fmt, path = (args.pop(k) for k in ("with_oracle", "format", "output"))
     try:

@@ -198,8 +198,9 @@ def _log_poisson(n: int, alpha_mag: float) -> float:
             if nxt == bd0:
                 break
             bd0, j = nxt, j + 1
-    else:
-        bd0 = n * math.log(n / m) + m - n
+    else:  # m is 0 where |alpha|^2 underflows: ln(n/m) as ln n - 2 ln|alpha|
+        log_ratio = math.log(n / m) if m else math.log(n) - 2.0 * math.log(alpha_mag)
+        bd0 = n * log_ratio + m - n
     return -_stirlerr(n) - bd0 - 0.5 * math.log(2.0 * math.pi * n)
 
 

@@ -26,7 +26,7 @@ from .errors import DomainError, PrecisionLossError
 LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
-WEHRL_SPAN = LN2 - 0.5                           # ln(4pi) - WEHRL_MIN
+WEHRL_SPAN = LN4PI - WEHRL_MIN                   # ln 2 - 1/2 to 4 ulps
 
 # The tanh-sinh rule of _sum_series: nodes x = j*h on |x| <= _X_MAX, where the
 # weight ds/dx is below 1e-15, with h = 1, 1/2, ... halved up to _HALVINGS times.
@@ -146,7 +146,9 @@ def normalized_entropies(gamma, wehrl):
     """Rescaled measures: gamma/ln 2 and (ln(4pi) - W)/(ln 2 - 1/2).
 
     Exact constants are used; their popular roundings 0.693 and 0.19315
-    would shift the endpoints off 0 and 1 by about 1e-4.
+    would shift the endpoints off 0 and 1 by about 1e-4.  The Wehrl span is
+    formed from the two rounded ends ln(4pi) and ln(2pi) + 1/2, so each end
+    normalizes to exactly 0 or 1.
     """
     return _item(gamma / LN2), _item((LN4PI - wehrl) / WEHRL_SPAN)
 

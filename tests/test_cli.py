@@ -183,6 +183,34 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"jcm-entropy: argument error: {message}\n"
 
+    @pytest.mark.parametrize("flag", ["--alpha-phase", "--t-start", "--t-end"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E1"])
+    def test_negative_values_in_exponent_notation(self, flag, value, capsys):
+        # argparse took these for options ("expected one argument"), so a t
+        # the CSV prints, such as -1.0000000000000001e-05, could not be passed
+        args = ["--alpha-mag", "2", "--t-start", "-30", "--t-steps", "3", flag, value,
+                "--format", "structured"]
+        assert main(args) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config[flag[2:].replace("-", "_")] == float(value)
+
+    def test_negative_infinity_is_refused_as_a_value(self, capsys):
+        assert main(["--alpha-mag", "2", "--alpha-phase", "-inf"]) == 2
+        assert capsys.readouterr().err == \
+            "jcm-entropy: argument error: alpha_phase must be finite, got -inf\n"
+
+    @pytest.mark.parametrize("alpha_mag", ["1e-300", "5e-324"])
+    def test_alpha_squared_underflow(self, alpha_mag, tmp_path):
+        # |alpha|^2 underflows to 0: a ZeroDivisionError traceback before
+        tiny, vacuum = tmp_path / "tiny.csv", tmp_path / "vacuum.csv"
+        args = ["--t-end", "5", "--t-steps", "4", "--output"]
+        assert main(["--alpha-mag", alpha_mag, *args, str(tiny)]) == 0
+        assert main(["--alpha-mag", "0", *args, str(vacuum)]) == 0
+        got = np.loadtxt(tiny, delimiter=",", skiprows=1)
+        want = np.loadtxt(vacuum, delimiter=",", skiprows=1)
+        assert got.shape == want.shape == (4, len(BASE_COLUMNS))
+        assert np.abs(got - want).max() <= 1e-299
+
     def test_large_alpha(self, tmp_path):
         # |alpha| >= 39 underflowed exp(-|alpha|^2/2) in the old recurrence
         out = tmp_path / "a45.csv"

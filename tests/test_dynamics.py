@@ -222,6 +222,14 @@ class TestCoherentAmplitudes:
         assert amps.n_max == 0
         assert amps.coefficients[0] == 1.0 + 0.0j
 
+    def test_alpha_squared_underflow(self):
+        # |alpha|^2 is 0 below about 1.5e-162: ln(n/|alpha|^2) in the tail
+        # bound raised a ZeroDivisionError
+        amps = coherent_amplitudes(1e-300, 0.4, 1e-12)
+        assert (amps.n_min, amps.weights[0], amps.weights[1]) == (0, 1.0, 1e-300)
+        assert np.all(amps.weights[2:] == 0.0)
+        assert 0.0 <= amps.tail_mass <= 1e-12
+
     def test_alpha7_norm_and_mean_photon_number(self):
         amps = coherent_amplitudes(7.0, 0.0, 1e-12)
         n = np.arange(amps.n_max + 1)

@@ -389,6 +389,13 @@ class TestNormalized:
         assert g == 0.0
         assert w == pytest.approx(1.0, abs=1e-15)
 
+    def test_pure_and_mixed_ends_are_exact(self):
+        # with the span as ln 2 - 1/2, one ulp off ln(4pi) - WEHRL_MIN, every
+        # sweep's T = 0 row read wehrl_norm = 1.0000000000000007
+        rec = entropy_record(np.array([1.0, 0.0]))
+        assert rec["wehrl_norm"].tolist() == [1.0, 0.0]
+        assert rec["gamma_norm"].tolist() == [0.0, 1.0]
+
     def test_midpoint_arithmetic(self):
         gamma = von_neumann_entropy(0.5)
         wehrl = wehrl_entropy_closed(0.5)

@@ -17,7 +17,11 @@ geometry, and a block of points, stacked as rows [1, sz, sx, sy], gets its
 Q at every node as one matrix product with it.  Points are taken
 ``QUAD_ELEMENTS`` nodes at a time (4 points at 64x128), every block padded
 to the same shape, so each point's value is that of a scalar call, bit for
-bit; a scalar call pays for one block.  The oracle stays independent of
+bit; a scalar call pays for one block.  A call of four blocks or more
+splits them into two contiguous shares, the second on a thread of its own,
+where the host has two usable cores; each share holds its own Q and Q ln Q
+buffers, so the cap of two bounds the memory whatever the core count, and a
+block's value does not depend on the share that takes it.  The oracle stays independent of
 the other routes: Q is evaluated from (sx, sy, sz) at every node for every
 point, with no use of rotational symmetry, of eta, or of the closed form
 or the series.  ``wehrl_entropy_triple_sum``, the other oracle,
@@ -27,7 +31,9 @@ integrates term by term the expansion whose azimuthal integrals
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +50,25 @@ _TERM_MAGNITUDE_LIMIT = 1e15
 # (Q and Q ln Q, 256 KiB each); a point whose nodes exceed this is still
 # taken whole.
 QUAD_ELEMENTS = 2 ** 15
+# Threads that share one call's blocks, the calling one included.  Each
+# holds its own Q and Q ln Q buffers, so this, not the host, bounds the
+# memory: an oracle sweep's working memory read 1.75 MiB with two and
+# 2.27 MiB with three.
+_MAX_WORKERS = 2
+# Blocks whose per-theta sums are weighted and reduced by one call (64 KiB
+# at 64x128), so few short calls that hold the GIL remain between the long
+# products and logs, which release it
+_GROUP_BLOCKS = 32
+
+
+@functools.cache
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
+    shared, so read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -60,7 +85,7 @@ class SphereQuadrature:
 
     def __post_init__(self):
         _check_quad_orders(self.theta_order, self.phi_order)
-        mu, w = np.polynomial.legendre.leggauss(self.theta_order)
+        mu, w = _gauss_legendre(self.theta_order)
         phi = 2.0 * math.pi * np.arange(self.phi_order) / self.phi_order
         sin_theta = np.sqrt(1.0 - mu ** 2)[:, None]
         basis = np.stack([np.broadcast_to(row, (self.theta_order, self.phi_order))
@@ -88,33 +113,108 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
     return (1.0 + beta) / FOUR_PI
 
 
-def _integrate(bloch: BlochVector, quad: SphereQuadrature, integrand):
-    """The quadrature sum of ``integrand(Q)`` over the sphere, per point.
+def _workers(blocks: int) -> int:
+    """Threads for a call of ``blocks`` blocks: at most ``_MAX_WORKERS`` and
+    the usable cores, with two blocks or more each."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    return max(1, min(_MAX_WORKERS, cores, blocks // 2))
+
+
+def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
+    """The quadrature sum of Q ln Q (``log_q``) or of Q over the sphere, per
+    point.
 
     The points are stacked as rows [1, sz, sx, sy] and taken ``rows`` at a
     time; a block's Q at every node is one product with ``quad.basis``.
     Each block has the same shape: the last, and a lone point, are padded
     with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
     not depend on the points that share its call.  The sum runs over phi
-    per theta, then against the theta weights.
+    per theta, then against the theta weights.  The blocks are cut into
+    ``_workers`` contiguous shares; the calling thread takes the first and
+    a thread of its own each other.  All are joined before the call returns
+    or raises, and the first error in grid order is raised.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
     shape = sz.shape
     rows = max(1, QUAD_ELEMENTS // quad.basis.shape[1])
-    coords = np.zeros((-(-sz.size // rows) * rows, 4))
+    blocks = -(-sz.size // rows)
+    coords = np.zeros((blocks * rows, 4))
     coords[:, 0] = 1.0
     for k, c in enumerate((sz, sx, sy), start=1):
         coords[:sz.size, k] = c.reshape(-1)
-    ones = np.ones(quad.phi_order)
-    weights = quad.mu_weights * quad.phi_weight
     out = np.empty(coords.shape[0])
-    for lo in range(0, coords.shape[0], rows):
-        q = coords[lo:lo + rows] @ quad.basis
-        per_theta = integrand(q).reshape(rows, quad.theta_order, quad.phi_order) @ ones
-        per_theta *= weights
-        out[lo:lo + rows] = np.add.reduce(per_theta, axis=-1)
+    workers = _workers(blocks)
+    if workers == 1:
+        _integrate_share(coords, out, quad, log_q, rows)
+        return out[:sz.size].reshape(shape)
+
+    import threading  # only where a call is split
+
+    cuts = [blocks * k // workers * rows for k in range(workers + 1)]
+    errors = [None] * workers
+
+    def share(k):
+        lo, hi = cuts[k], cuts[k + 1]
+        try:
+            _integrate_share(coords[lo:hi], out[lo:hi], quad, log_q, rows)
+        except Exception as exc:  # raised by the caller, in grid order
+            errors[k] = exc
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out[:sz.size].reshape(shape)
+
+
+def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature,
+                     log_q: bool, rows: int) -> None:
+    """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
+    whole number of blocks of ``rows`` points.
+
+    Q and Q ln Q take buffers allocated once.  Q ln Q is taken as
+    ``log(Q) * Q`` with floating-point warnings off; a block with a point
+    whose value comes out non-finite (a node at or below 0, or a non-finite
+    input) is taken again through ``_q_log_q``, the checked path, so every
+    value is that of the checked path.
+    """
+    theta, phi = quad.theta_order, quad.phi_order
+    q = np.empty((rows, quad.basis.shape[1]))
+    q_log_q = np.empty_like(q) if log_q else q
+    ones = np.ones(phi)
+    weights = quad.mu_weights * quad.phi_weight
+    sums = np.empty((min(_GROUP_BLOCKS * rows, coords.shape[0]), theta))
+    for start in range(0, coords.shape[0], sums.shape[0]):
+        group = sums[:coords.shape[0] - start]
+        with np.errstate(all="ignore"):
+            for lo in range(0, group.shape[0], rows):
+                np.matmul(coords[start + lo:start + lo + rows], quad.basis, out=q)
+                if log_q:
+                    np.log(q, out=q_log_q)
+                    q_log_q *= q
+                np.matmul(q_log_q.reshape(rows, theta, phi), ones,
+                          out=group[lo:lo + rows])
+        group *= weights
+        np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
+    if not log_q:
+        return
+    group = sums[:rows]
+    for lo in np.unique(np.flatnonzero(~np.isfinite(out)) // rows * rows).tolist():
+        np.matmul(coords[lo:lo + rows], quad.basis, out=q)
+        np.matmul(_q_log_q(q).reshape(rows, theta, phi), ones, out=group)
+        group *= weights
+        np.add.reduce(group, axis=-1, out=out[lo:lo + rows])
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:
@@ -137,12 +237,12 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
     The Bloch components are scalars or equal-length 1-D arrays; a scalar
     Bloch vector gives a Python float.
     """
-    return _item(-_integrate(bloch, quad, _q_log_q))
+    return _item(-_integrate(bloch, quad, log_q=True))
 
 
 def q_normalization(bloch: BlochVector, quad: SphereQuadrature):
     """Quadrature integral of Q over the sphere, per point; should be 1."""
-    return _item(_integrate(bloch, quad, lambda q: q))
+    return _item(_integrate(bloch, quad, log_q=False))
 
 
 def trig_power_integral(c1: float, c2: float, k: int) -> float:

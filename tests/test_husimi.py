@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -202,12 +203,16 @@ class TestArrayQuadrature:
             want = masked_quadrature(b, quad)
             assert abs(wehrl_entropy_quadrature(b, quad) - want) <= 4 * np.spacing(want)
 
-    def test_unit_vector_antipodal_to_a_node(self, monkeypatch):
+    def test_unit_vector_antipodal_to_a_node(self, monkeypatch, usable_cores):
         # Q is 0 at that node up to rounding, so some of these blocks take
-        # the clamped, masked Q ln Q
+        # the clamped, masked Q ln Q; taken as one array of 17 blocks, some
+        # do so in the second share, on its own thread
         masked = []
-        monkeypatch.setattr(husimi, "_xlogx", lambda x: masked.append(1) or _xlogx(x))
+        monkeypatch.setattr(husimi, "_xlogx",
+                            lambda x: masked.append(threading.current_thread()) or _xlogx(x))
+        usable_cores(2)
         quad = SphereQuadrature(64, 128)
+        vectors, values = [], []
         for i in range(0, 64, 3):
             mu = quad.mu_nodes[i].item()
             for j in (0, 32, 45):
@@ -218,7 +223,14 @@ class TestArrayQuadrature:
                 want = masked_quadrature(b, quad)
                 assert math.isfinite(got)
                 assert abs(got - want) <= 4 * np.spacing(want), (i, j)
+                vectors.append((b.sx, b.sy, b.sz))
+                values.append(got)
         assert masked
+        masked.clear()
+        got = wehrl_entropy_quadrature(BlochVector(*np.array(vectors).T, None), quad)
+        assert got.tolist() == values
+        assert threading.current_thread() in masked
+        assert any(t is not threading.current_thread() for t in masked)
 
     def test_negative_q_named_in_a_later_block(self):
         quad = SphereQuadrature(64, 128)
@@ -226,6 +238,66 @@ class TestArrayQuadrature:
         sz[6] = 1.5
         with pytest.raises(DomainError, match="negative Q density"):
             wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
+
+
+class TestWorkers:
+    """A call of four blocks or more is split over two threads where the
+    host reports two usable cores or more."""
+
+    @pytest.mark.parametrize("orders,count", [((64, 128), 17), ((16, 32), 273)])
+    def test_worker_count_does_not_change_values(self, orders, count, usable_cores,
+                                                 started_threads):
+        quad = SphereQuadrature(*orders)
+        rows = QUAD_ELEMENTS // (orders[0] * orders[1])
+        assert count // rows >= 4 and count % rows  # four whole blocks, a partial last
+        sx, sy, sz = random_components(count, seed=6)
+        arrays = BlochVector(sx, sy, sz, None)
+        for f in (wehrl_entropy_quadrature, q_normalization):
+            usable_cores(1)
+            alone = f(arrays, quad)
+            assert not started_threads
+            usable_cores(2)
+            split = f(arrays, quad)
+            assert len(started_threads) == 1
+            assert split.tobytes() == alone.tobytes(), f.__name__
+            for i in range(count):
+                one = f(bloch(sx[i].item(), sy[i].item(), sz[i].item()), quad)
+                assert one == split[i], (f.__name__, i)
+            assert len(started_threads) == 1  # a one-block call starts none
+            started_threads.clear()
+
+    def test_outside_ball_in_the_second_share(self, usable_cores, started_threads):
+        quad = SphereQuadrature(64, 128)
+        sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
+        sz[30] = 1.5  # 10 blocks of 4 points; the second share holds 20 to 39
+        arrays = BlochVector(sx, sy, sz, None)
+        usable_cores(1)
+        with pytest.raises(DomainError) as alone:
+            wehrl_entropy_quadrature(arrays, quad)
+        usable_cores(2)
+        before = threading.active_count()
+        with pytest.raises(DomainError) as split:
+            wehrl_entropy_quadrature(arrays, quad)
+        assert len(started_threads) == 1
+        assert threading.active_count() == before
+        assert str(split.value) == str(alone.value)
+
+    @pytest.mark.parametrize("bad,first_share", [([30], False), ([5, 30], True)])
+    def test_first_error_in_grid_order_is_raised(self, monkeypatch, usable_cores,
+                                                 started_threads, bad, first_share):
+        def failing(q):
+            raise DomainError(threading.current_thread().name)
+
+        monkeypatch.setattr(husimi, "_q_log_q", failing)
+        usable_cores(2)
+        sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
+        sz[bad] = 1.5  # its block takes the checked path
+        with pytest.raises(DomainError) as raised:
+            wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None),
+                                     SphereQuadrature(64, 128))
+        (worker,) = started_threads
+        caller = threading.current_thread()
+        assert str(raised.value) == (caller if first_share else worker).name
 
 
 class TestTrigPowerIntegral:

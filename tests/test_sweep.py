@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,20 @@ class TestErrorContract:
         with pytest.raises(DomainError, match="^" + re.escape(message)):
             run_sweep(config, with_oracle=True)
 
+    def test_negative_q_names_first_t_in_the_second_share(self, outside_ball, usable_cores,
+                                                          started_threads):
+        # at 64x128 the 101 points are 26 blocks of 4, and the second of two
+        # shares starts at point 52
+        usable_cores(2)
+        assert 70 >= 26 // 2 * QUAD_ELEMENTS // (64 * 128)
+        before = threading.active_count()
+        config = SimulationConfig(alpha_mag=7.0, t_end=1.0, t_steps=101)
+        message = f"at T = {outside_ball!r}: negative Q density"
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run_sweep(config, with_oracle=True)
+        assert started_threads
+        assert threading.active_count() == before
+
     def test_negative_q_cli_exits_1(self, outside_ball, capsys):
         args = ["--alpha-mag", "7", "--t-end", "1", "--t-steps", "101", "--with-oracle",
                 "--quad-theta", "16", "--quad-phi", "32"]
@@ -280,3 +295,14 @@ def test_oracle_working_memory_is_bounded():
     # a block's Q and Q ln Q are 512 KiB together, whatever the grid length
     config = SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=2000)
     assert working_memory(config, with_oracle=True) <= 2 * 2 ** 20
+
+
+def test_oracle_working_memory_is_bounded_at_any_core_count(usable_cores, started_threads):
+    # each share's Q and Q ln Q are 512 KiB together; at most two shares run
+    usable_cores(64)
+    config = SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=2000)
+    assert working_memory(config, with_oracle=True) <= 2 * 2 ** 20
+    assert len(started_threads) == 1
+    wehrl_entropy_quadrature(dynamics.BlochVector(0.1, 0.2, 0.3, None),
+                             SphereQuadrature(64, 128))
+    assert len(started_threads) == 1  # a one-block call starts none

@@ -19,14 +19,17 @@ Q at every node as one matrix product with it.  Points are taken
 to the same shape, so each point's value is that of a scalar call, bit for
 bit; a scalar call pays for one block.  A call of four blocks or more
 splits them into two contiguous shares, the second on a thread of its own,
-where the host has two usable cores; each share holds its own Q and Q ln Q
-buffers, so the cap of two bounds the memory whatever the core count, and a
-block's value does not depend on the share that takes it.  The oracle stays independent of
-the other routes: Q is evaluated from (sx, sy, sz) at every node for every
-point, with no use of rotational symmetry, of eta, or of the closed form
-or the series.  ``wehrl_entropy_triple_sum``, the other oracle,
-integrates term by term the expansion whose azimuthal integrals
-``trig_power_integral`` gives.
+where the host has two usable cores or more.  Each share holds its own Q
+and Q ln Q buffers (512 KiB at 64x128), so the cap of two threads bounds
+the memory whatever the core count, and no value depends on the number of
+threads.  Q ln Q is taken unchecked as log(Q) * Q; a block with a point
+whose value comes out non-finite is taken again by the checked path, which
+raises where Q falls below ``Q_FLOOR`` and otherwise clamps Q at 0 with
+0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
+evaluated from (sx, sy, sz) at every node for every point, with no use of
+rotational symmetry, of eta, or of the closed form or the series.
+``wehrl_entropy_triple_sum``, the other oracle, integrates term by term the
+expansion whose azimuthal integrals ``trig_power_integral`` gives.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ _TERM_MAGNITUDE_LIMIT = 1e15
 QUAD_ELEMENTS = 2 ** 15
 # Threads that share one call's blocks, the calling one included.  Each
 # holds its own Q and Q ln Q buffers, so this, not the host, bounds the
-# memory: an oracle sweep's working memory read 1.75 MiB with two and
-# 2.27 MiB with three.
+# memory: beyond its output, a 2000-point oracle sweep at 64x128 holds
+# 1.12 MiB with one, 1.69-1.75 MiB with two and 2.25 MiB with three, where
+# the tests allow 2 MiB.
 _MAX_WORKERS = 2
 # Blocks whose per-theta sums are weighted and reduced by one call (64 KiB
 # at 64x128), so few short calls that hold the GIL remain between the long
@@ -133,9 +137,11 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
     with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
     not depend on the points that share its call.  The sum runs over phi
     per theta, then against the theta weights.  The blocks are cut into
-    ``_workers`` contiguous shares; the calling thread takes the first and
-    a thread of its own each other.  All are joined before the call returns
-    or raises, and the first error in grid order is raised.
+    ``_workers`` contiguous shares: the calling thread takes the first, and
+    each other share runs on a thread of its own.  Those threads are joined
+    before the call returns or raises, and of the shares' errors the first
+    in grid order is raised.  A share does the same operations on blocks of
+    the same shape whatever the cut, so no value depends on it.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -183,15 +189,18 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
     whole number of blocks of ``rows`` points.
 
-    Q and Q ln Q take buffers allocated once.  Q ln Q is taken as
-    ``log(Q) * Q`` with floating-point warnings off; a block with a point
-    whose value comes out non-finite (a node at or below 0, or a non-finite
-    input) is taken again through ``_q_log_q``, the checked path, so every
-    value is that of the checked path.
+    Q and Q ln Q take buffers allocated once, and the per-theta sums of
+    ``_GROUP_BLOCKS`` blocks are weighted and reduced together.  Q ln Q is
+    taken as ``log(Q) * Q`` with floating-point warnings off.  A block with
+    a point whose value comes out non-finite (a node at or below 0, or a
+    non-finite input) is taken again through ``_q_log_q``, the checked path;
+    on any other block that path takes the same ``log(Q) * Q``, so every
+    value is the checked path's.
     """
     theta, phi = quad.theta_order, quad.phi_order
     q = np.empty((rows, quad.basis.shape[1]))
     q_log_q = np.empty_like(q) if log_q else q
+    per_phi = q_log_q.reshape(rows, theta, phi)
     ones = np.ones(phi)
     weights = quad.mu_weights * quad.phi_weight
     sums = np.empty((min(_GROUP_BLOCKS * rows, coords.shape[0]), theta))
@@ -203,8 +212,7 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
                 if log_q:
                     np.log(q, out=q_log_q)
                     q_log_q *= q
-                np.matmul(q_log_q.reshape(rows, theta, phi), ones,
-                          out=group[lo:lo + rows])
+                np.matmul(per_phi, ones, out=group[lo:lo + rows])
         group *= weights
         np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
     if not log_q:

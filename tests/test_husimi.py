@@ -263,7 +263,8 @@ class TestWorkers:
             for i in range(count):
                 one = f(bloch(sx[i].item(), sy[i].item(), sz[i].item()), quad)
                 assert one == split[i], (f.__name__, i)
-            assert len(started_threads) == 1  # a one-block call starts none
+            f(BlochVector(sx[:3 * rows], sy[:3 * rows], sz[:3 * rows], None), quad)
+            assert len(started_threads) == 1  # one to three blocks start none
             started_threads.clear()
 
     def test_outside_ball_in_the_second_share(self, usable_cores, started_threads):

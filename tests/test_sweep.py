@@ -251,7 +251,8 @@ class TestErrorContract:
         # at 64x128 the 101 points are 26 blocks of 4, and the second of two
         # shares starts at point 52
         usable_cores(2)
-        assert 70 >= 26 // 2 * QUAD_ELEMENTS // (64 * 128)
+        rows = QUAD_ELEMENTS // (64 * 128)
+        assert 70 >= 26 // 2 * rows
         before = threading.active_count()
         config = SimulationConfig(alpha_mag=7.0, t_end=1.0, t_steps=101)
         message = f"at T = {outside_ball!r}: negative Q density"

@@ -17,14 +17,16 @@ geometry, and a block of points, stacked as rows [1, sz, sx, sy], gets its
 Q at every node as one matrix product with it.  Points are taken
 ``QUAD_ELEMENTS`` nodes at a time (4 points at 64x128), every block padded
 to the same shape, so each point's value is that of a scalar call, bit for
-bit; a scalar call pays for one block.  A call of four blocks or more
-splits them into two contiguous shares, the second on a thread of its own,
-where the host has two usable cores or more.  Each share holds its own Q
-and Q ln Q buffers (512 KiB at 64x128), so the cap of two threads bounds
-the memory whatever the core count, and no value depends on the number of
-threads.  Q ln Q is taken unchecked as log(Q) * Q; a block with a point
-whose value comes out non-finite is taken again by the checked path, which
-raises where Q falls below ``Q_FLOOR`` and otherwise clamps Q at 0 with
+bit; a scalar call pays for one block.  Every call runs one share loop:
+a call of four blocks or more is cut into two contiguous shares, the second
+on a thread of its own, where the host has two usable cores or more, and
+any other call is one share, on the calling thread.  Each share holds its
+own Q and Q ln Q buffers (512 KiB at 64x128), so the cap of two threads
+bounds the memory whatever the core count, and no value depends on the
+number of threads.  Q ln Q is taken unchecked as log(Q) * Q; a block with
+a point whose value comes out non-finite is taken again by the checked
+path, which raises where any node's Q falls below ``Q_FLOOR`` (a NaN
+elsewhere in the block hides none) and otherwise clamps Q at 0 with
 0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
 evaluated from (sx, sy, sz) at every node for every point, with no use of
 rotational symmetry, of eta, or of the closed form or the series.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,16 +120,6 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
     return (1.0 + beta) / FOUR_PI
 
 
-def _workers(blocks: int) -> int:
-    """Threads for a call of ``blocks`` blocks: at most ``_MAX_WORKERS`` and
-    the usable cores, with two blocks or more each."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cores = os.cpu_count() or 1
-    return max(1, min(_MAX_WORKERS, cores, blocks // 2))
-
-
 def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
     """The quadrature sum of Q ln Q (``log_q``) or of Q over the sphere, per
     point.
@@ -137,11 +130,14 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
     with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
     not depend on the points that share its call.  The sum runs over phi
     per theta, then against the theta weights.  The blocks are cut into
-    ``_workers`` contiguous shares: the calling thread takes the first, and
-    each other share runs on a thread of its own.  Those threads are joined
-    before the call returns or raises, and of the shares' errors the first
-    in grid order is raised.  A share does the same operations on blocks of
-    the same shape whatever the cut, so no value depends on it.
+    contiguous shares, one per worker: at most ``_MAX_WORKERS``, the usable
+    cores, and one per two blocks.  Every call runs the same loop over its
+    shares: the calling thread takes the first, and each other share runs
+    on a thread of its own, so a one-share call (a scalar, one to three
+    blocks, a one-core host) starts none.  Those threads are joined before
+    the call returns or raises, and of the shares' errors the first in grid
+    order is raised.  A share does the same operations on blocks of the
+    same shape whatever the cut, so no value depends on it.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -153,13 +149,11 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
     for k, c in enumerate((sz, sx, sy), start=1):
         coords[:sz.size, k] = c.reshape(-1)
     out = np.empty(coords.shape[0])
-    workers = _workers(blocks)
-    if workers == 1:
-        _integrate_share(coords, out, quad, log_q, rows)
-        return out[:sz.size].reshape(shape)
-
-    import threading  # only where a call is split
-
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    workers = max(1, min(_MAX_WORKERS, cores, blocks // 2))
     cuts = [blocks * k // workers * rows for k in range(workers + 1)]
     errors = [None] * workers
 
@@ -190,12 +184,12 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     whole number of blocks of ``rows`` points.
 
     Q and Q ln Q take buffers allocated once, and the per-theta sums of
-    ``_GROUP_BLOCKS`` blocks are weighted and reduced together.  Q ln Q is
-    taken as ``log(Q) * Q`` with floating-point warnings off.  A block with
-    a point whose value comes out non-finite (a node at or below 0, or a
-    non-finite input) is taken again through ``_q_log_q``, the checked path;
-    on any other block that path takes the same ``log(Q) * Q``, so every
-    value is the checked path's.
+    ``_GROUP_BLOCKS`` blocks are weighted and reduced together, all with
+    floating-point warnings off.  Q ln Q is taken as ``log(Q) * Q``.  A
+    block with a point whose value comes out non-finite (a node at or below
+    0, or a non-finite input) is taken again through ``_q_log_q``, the
+    checked path, which gives the same bits wherever Q > 0, so every value
+    is the checked path's.
     """
     theta, phi = quad.theta_order, quad.phi_order
     q = np.empty((rows, quad.basis.shape[1]))
@@ -204,36 +198,32 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     ones = np.ones(phi)
     weights = quad.mu_weights * quad.phi_weight
     sums = np.empty((min(_GROUP_BLOCKS * rows, coords.shape[0]), theta))
-    for start in range(0, coords.shape[0], sums.shape[0]):
-        group = sums[:coords.shape[0] - start]
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for start in range(0, coords.shape[0], sums.shape[0]):
+            group = sums[:coords.shape[0] - start]
             for lo in range(0, group.shape[0], rows):
                 np.matmul(coords[start + lo:start + lo + rows], quad.basis, out=q)
                 if log_q:
                     np.log(q, out=q_log_q)
                     q_log_q *= q
                 np.matmul(per_phi, ones, out=group[lo:lo + rows])
-        group *= weights
-        np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
-    if not log_q:
-        return
-    group = sums[:rows]
-    for lo in np.unique(np.flatnonzero(~np.isfinite(out)) // rows * rows).tolist():
-        np.matmul(coords[lo:lo + rows], quad.basis, out=q)
-        np.matmul(_q_log_q(q).reshape(rows, theta, phi), ones, out=group)
-        group *= weights
-        np.add.reduce(group, axis=-1, out=out[lo:lo + rows])
+            group *= weights
+            np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
+        if not log_q:
+            return
+        group = sums[:rows]
+        for lo in np.unique(np.flatnonzero(~np.isfinite(out)) // rows * rows).tolist():
+            np.matmul(coords[lo:lo + rows], quad.basis, out=q)
+            np.matmul(_q_log_q(q).reshape(rows, theta, phi), ones, out=group)
+            group *= weights
+            np.add.reduce(group, axis=-1, out=out[lo:lo + rows])
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:
-    """Q ln Q; a block with a node at or below 0 is checked against Q_FLOOR,
-    clamped and given 0 ln 0 = 0."""
-    low = q.min()
-    if low > 0.0:
-        out = np.log(q)
-        out *= q
-        return out
-    if low < Q_FLOOR:
+    """Q ln Q of a block, checked: a node with Q below Q_FLOOR raises, node
+    by node, so a NaN elsewhere in the block hides none; otherwise Q is
+    clamped at 0, with 0 ln 0 = 0."""
+    if (q < Q_FLOOR).any():
         raise DomainError("negative Q density at a node: Bloch vector outside "
                           "the unit ball")
     return _xlogx(np.maximum(q, 0.0))

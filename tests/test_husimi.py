@@ -301,6 +301,63 @@ class TestWorkers:
         assert str(raised.value) == (caller if first_share else worker).name
 
 
+def outcome(f, b, quad):
+    """``f(b, quad)``, or the text of the DomainError it raises."""
+    try:
+        return f(b, quad)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestNonFinitePoints:
+    """NaN, infinite, huge and zero points give in an array call what they
+    give in a scalar call, with no warning (the suite makes warnings errors)."""
+
+    def test_nan_hides_no_outside_ball_point_of_its_block(self):
+        quad = SphereQuadrature(64, 128)
+        alone = outcome(wehrl_entropy_quadrature, bloch(0.0, 0.0, 1.5), quad)
+        assert alone.startswith("negative Q density")
+        block = BlochVector(np.zeros(4), np.zeros(4), np.array([math.nan, 1.5, 0.2, 0.3]), None)
+        with pytest.raises(DomainError) as raised:
+            wehrl_entropy_quadrature(block, quad)
+        assert str(raised.value) == alone
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("f", [wehrl_entropy_quadrature, q_normalization])
+    def test_each_point_takes_its_scalar_outcome(self, f, cores, usable_cores):
+        # 17 points (five blocks of 4 at 64x128, split 8 + 9 on two cores),
+        # one special point in the first or the second share, alone in its
+        # block or beside a NaN point
+        quad = SphereQuadrature(64, 128)
+        usable_cores(cores)
+        specials = [[0.0, 0.0, 0.0]]
+        for value in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+            for axis in range(3):
+                specials.append([0.0, 0.0, 0.0])
+                specials[-1][axis] = value
+        base = random_components(17, seed=12).T.tolist()
+        singles = {}
+        for c in base + specials + [[math.nan] * 3]:
+            singles[tuple(c)] = outcome(f, BlochVector(*c, None), quad)
+        raised = 0
+        for special in specials:
+            for at in (1, 13):
+                for beside_nan in (False, True):
+                    points = list(base)
+                    points[at] = special
+                    if beside_nan:
+                        points[at ^ 1] = [math.nan] * 3
+                    want = [singles[tuple(c)] for c in points]
+                    errors = [w for w in want if isinstance(w, str)]
+                    got = outcome(f, BlochVector(*np.array(points).T, None), quad)
+                    if errors:
+                        raised += 1
+                        assert got == errors[0], (special, at, beside_nan)
+                    else:
+                        assert got.tobytes() == np.array(want).tobytes(), (special, at)
+        assert raised == (0 if f is q_normalization else 4 * 12)
+
+
 class TestTrigPowerIntegral:
     def test_odd_k_vanishes(self):
         assert trig_power_integral(1.0, 1.0, 3) == 0.0

@@ -332,14 +332,16 @@ def _grid_step(T: np.ndarray):
 
 
 def _nodes(w, w_lo, step, step_lo, cells):
-    """NUFFT nodes of the frequencies w + w_lo (double-double).
+    """NUFFT nodes node + node_lo of the frequencies w + w_lo (double-double).
 
     A node is the phase advance of a frequency over one grid step,
     (w + w_lo) h / (2 pi) mod 1 with h / (2 pi) = step + step_lo, here in
-    cells of the fine grid, in [-cells/2, cells/2].
+    cells of the fine grid, in [-cells/2, cells/2], carried in double-double
+    so that mode indices up to half a long grid multiply no rounding of it.
     """
     prod, err = _two_prod(w, step)
-    return ((prod - np.rint(prod)) + (err + w * step_lo + w_lo * step)) * cells
+    node, node_lo = _two_prod(prod - np.rint(prod), cells)
+    return node, node_lo + (err + w * step_lo + w_lo * step) * cells
 
 
 def _spectral_sums(p, q, n1, root, T, h):
@@ -381,7 +383,7 @@ def _spectral_sums(p, q, n1, root, T, h):
     bands = [(p, 2.0 * root, 2.0 * root_lo),
              (q, pair, pair_lo + root_lo[:-1] + root_lo[1:]),
              (q, root[1:] - root[:-1], root_lo[1:] - root_lo[:-1])]
-    bands = [(c, w, w_lo, _nodes(w, w_lo, step, step_lo, cells)) for c, w, w_lo in bands]
+    bands = [(c, w, w_lo, *_nodes(w, w_lo, step, step_lo, cells)) for c, w, w_lo in bands]
     del prod, err, root_lo, pair, pair_lo
 
     centre = T[0] + (modes // 2) * h  # the time of mode 0
@@ -392,14 +394,15 @@ def _spectral_sums(p, q, n1, root, T, h):
 
     def band_sum(band):
         """sum_n c_n exp(i w_n T) at the grid's times."""
-        c, w, w_lo, node = band
+        c, w, w_lo, node, node_lo = band
         grid.fill(0.0)
         for s in range(0, w.size, piece):
             e = s + piece
             prod, err = _two_prod(w[s:e], centre)
             a = c[s:e] * np.exp(1j * prod) * (1.0 + 1j * (err + w_lo[s:e] * centre))
             cell = np.floor(node[s:e])
-            kernel = np.exp(-beta * (offsets - (node[s:e] - cell)[:, None]) ** 2)
+            frac = (node[s:e] - cell) + node_lo[s:e]
+            kernel = np.exp(-beta * (offsets - frac[:, None]) ** 2)
             index = ((cell.astype(np.intp)[:, None] + offsets) % cells).ravel()
             # the sum, and its rate
             for row, x in zip(grid, (a, a * w[s:e])):
@@ -438,12 +441,12 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     Spectral route (``_spectral_sums``), taken when T is a uniform 1-D grid
     with a nonzero step (``np.linspace`` output or a run of its points) of
     at least ``SPECTRAL_MIN_TIMES`` times and ``SPECTRAL_MIN_PHASES`` phases
-    T.size * basis.  It forms every phase exactly, so from T[0] each entry
-    changes to within ``SPECTRAL_TOL`` of the exact sums' change, while
-    T*sqrt(n_max+1) stays below 1e9; at T[0], its one anchor, it equals the
-    direct route.  It sums the grid as one block, with working memory of
-    about 220 B a time.  A scalar, a non-uniform array or a short grid takes
-    the direct route.
+    T.size * basis.  It forms every phase and node exactly, so from T[0]
+    each entry changes to within ``SPECTRAL_TOL`` of the exact sums' change
+    at any grid length while T*sqrt(n_max+1) stays below 1e9; at T[0], its
+    one anchor, it equals the direct route.  It sums the grid as one block,
+    with working memory of about 220 B a time.  A scalar, a non-uniform
+    array or a short grid takes the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums (the spectral route's

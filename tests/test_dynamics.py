@@ -468,6 +468,19 @@ class TestSpectralRoute:
         for j in (4095, 4096, 4097, T.size // 2, T.size - 1):
             self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
 
+    def test_against_mpmath_on_a_long_grid(self, spectral_calls):
+        # 100000 times: mode indices reach 50000, and each multiplies the
+        # rounding of the nodes (2.2e-13 off with each node in one double)
+        amps = coherent_amplitudes(30.0, 0.7, 1e-12)
+        T = np.linspace(0.0, 2000.0, 100000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        ref0 = mp_density(amps, T[0], roots)
+        for j in np.linspace(1, T.size - 1, 9).astype(int).tolist():
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
     def test_against_mpmath_at_long_times(self, spectral_calls):
         # T near 1e6, T*sqrt(n_max+1) = 3.5e7: a grid time is off the
         # uniform grid by up to about 1e-10, which the sums follow

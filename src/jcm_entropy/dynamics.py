@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,6 +103,9 @@ class SimulationConfig:
             raise DomainError(f"t_end - t_start must be finite and >= 0, got {span!r}")
         _check_tolerance("series_tol", self.series_tol)
         _check_quad_orders(self.quad_theta_order, self.quad_phi_order)
+        for f in fields(self):  # numpy scalars in, Python numbers stored
+            kind = int if f.type == "int" else float
+            object.__setattr__(self, f.name, kind(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)

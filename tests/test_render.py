@@ -340,3 +340,18 @@ def test_structured_without_rows_matches_json_dumps(tmp_path):
     out = tmp_path / "empty.json"
     emit(result, format="structured", path=str(out))
     assert out.read_bytes() == json_oracle(result)
+
+
+def test_config_of_numpy_scalars_writes_as_python_numbers(tmp_path):
+    # numpy scalars passed every check of the config, then failed json.dumps
+    given = dict(alpha_mag=np.float32(2.5), alpha_phase=np.float64(0.5), t_end=np.float32(3.0),
+                 t_steps=np.int64(3), fock_tail_tol=np.float64(1e-12),
+                 quad_theta_order=np.int32(8), quad_phi_order=np.uint16(16))
+    outs = []
+    for kwargs in (given, {name: value.item() for name, value in given.items()}):
+        config = SimulationConfig(**kwargs)
+        for field in dataclasses.fields(config):
+            assert type(getattr(config, field.name)).__name__ == field.type, field.name
+        outs.append(tmp_path / f"sweep{len(outs)}.json")
+        emit(run_sweep(config, with_oracle=True), format="structured", path=str(outs[-1]))
+    assert outs[0].read_bytes() == outs[1].read_bytes()

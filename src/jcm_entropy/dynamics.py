@@ -103,7 +103,7 @@ class SimulationConfig:
             raise DomainError(f"t_end - t_start must be finite and >= 0, got {span!r}")
         _check_tolerance("series_tol", self.series_tol)
         _check_quad_orders(self.quad_theta_order, self.quad_phi_order)
-        for f in fields(self):  # numpy scalars in, Python numbers stored
+        for f in fields(self):  # as Python numbers, which json.dumps takes
             kind = int if f.type == "int" else float
             object.__setattr__(self, f.name, kind(getattr(self, f.name)))
 

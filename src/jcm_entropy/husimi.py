@@ -188,8 +188,8 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     floating-point warnings off.  Q ln Q is taken as ``log(Q) * Q``.  A
     block with a point whose value comes out non-finite (a node at or below
     0, or a non-finite input) is taken again through ``_q_log_q``, the
-    checked path, which gives the same bits wherever Q > 0, so every value
-    is the checked path's.
+    checked path, which tests every node against the floor and gives the
+    same bits wherever Q > 0, so every value is the checked path's.
     """
     theta, phi = quad.theta_order, quad.phi_order
     q = np.empty((rows, quad.basis.shape[1]))

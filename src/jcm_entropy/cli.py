@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments, 1 numerical-domain violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 
@@ -73,6 +74,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a one-shot run: move what import made out of the collector's reach, so
+    # neither the run's collections nor the one at exit walk it again
+    gc.freeze()
     sys.exit(main())
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from jcm_entropy import DomainError, SimulationConfig, emit, run_sweep
-from jcm_entropy.cli import main
+from jcm_entropy.cli import entry, main
 from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 
 BASE_HEADER = "t,sx,sy,sz,eta,xi,gamma,wehrl_closed,wehrl_series,gamma_norm,wehrl_norm"
@@ -229,25 +230,74 @@ class TestMain:
         assert payload["config"] == asdict(SimulationConfig(alpha_mag=0.5))
 
 
+def _python(*args):
+    """``python *args`` in a fresh interpreter, with this tree's ``src`` on
+    the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def _loaded(code):
+    """The modules loaded once ``code`` has run in a fresh interpreter."""
+    out = _python("-c", f"import sys; {code}print(' '.join(sys.modules))")
+    assert out.returncode == 0, out.stderr.decode()
+    return set(out.stdout.decode().split())
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is the one runtime dependency: importing the CLI, and running the
     # triple sum, may add to what a bare interpreter loads (site hooks
     # included) only stdlib, numpy and jcm_entropy modules, so no scipy,
     # which would cost the CLI most of its start-up time.  numpy.fft is loaded
     # by the spectral route of reduced_density when it runs, not on import.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-
-    def loaded(code):
-        code = f"import sys; {code}print(' '.join(sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        return set(out.stdout.split())
-
-    bare = loaded("")
-    added = loaded("import jcm_entropy as j, jcm_entropy.cli; "
-                   "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); ")
+    bare = _loaded("")
+    added = _loaded("import jcm_entropy as j, jcm_entropy.cli; "
+                    "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); ")
     allowed = set(sys.stdlib_module_names) | {"numpy", "jcm_entropy"}
     assert sorted(m for m in added - bare if m.split(".")[0] not in allowed) == []
     assert sorted(m for m in added if m.startswith("numpy.fft")) == []
+
+
+@pytest.mark.parametrize("extra", [["--with-oracle", "--format", "structured"], []],
+                         ids=["oracle-json", "csv"])
+def test_cli_run_leaves_numpy_ma_and_polynomial_unloaded(extra, tmp_path):
+    # a one-shot run pays for every module it loads: numpy.ma (np.unique
+    # loads it) and numpy.polynomial (leggauss) are on no path of main()
+    args = ["--alpha-mag", "7", "--t-end", "30", "--t-steps", "200", *extra,
+            "--output", str(tmp_path / "out")]
+    added = _loaded(f"from jcm_entropy.cli import main; assert main({args!r}) == 0; ")
+    packages = {".".join(m.split(".")[:2]) for m in added}
+    assert sorted(packages & {"numpy.ma", "numpy.polynomial"}) == []
+
+
+class TestEntry:
+    ARGS = ["--alpha-mag", "2", "--t-end", "5", "--t-steps", "10"]
+
+    def test_module_run_writes_what_main_writes(self, capsys):
+        proc = _python("-m", "jcm_entropy.cli", *self.ARGS)
+        assert proc.returncode == 0
+        assert main(self.ARGS) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_module_run_exit_codes(self):
+        bad = _python("-m", "jcm_entropy.cli", "--alpha-mag", "two")
+        assert bad.returncode == 2
+        assert b"--alpha-mag: invalid float value" in bad.stderr
+        domain = _python("-m", "jcm_entropy.cli", "--alpha-mag", "7", "--t-start", "1e300",
+                         "--t-end", "1e301", "--t-steps", "3")
+        assert domain.returncode == 1
+        assert domain.stdout == b""
+        assert domain.stderr.startswith(b"jcm-entropy: at T = 1e+300: Rabi phase")
+
+    def test_entry_freezes_the_import_heap(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["jcm-entropy", *self.ARGS])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out.splitlines()[0] == BASE_HEADER

@@ -1,6 +1,7 @@
 """Command-line driver: one time sweep, delimited output.
 
-Exit codes: 0 success, 2 bad arguments, 1 numerical-domain violation.
+Exit codes: 0 success, 2 bad arguments, 1 numerical-domain violation, an
+output error or running out of memory.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def main(argv=None) -> int:
     try:
         result = run_sweep(config, with_oracle=with_oracle)
         emit(result, format=fmt, path=path)
-    except (DomainError, PrecisionLossError, OSError) as exc:
-        print(f"jcm-entropy: {exc}", file=sys.stderr)
+    except (DomainError, PrecisionLossError, OSError, MemoryError) as exc:
+        # a MemoryError raised by Python's own allocator carries no message
+        print(f"jcm-entropy: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -147,6 +147,18 @@ class TestMain:
         assert main(self.ARGS) == 1
         assert "synthetic violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message,reported", [
+        ("Unable to allocate 13.4 GiB for an array", "Unable to allocate 13.4 GiB for an array"),
+        ("", "out of memory")])
+    def test_out_of_memory_exits_1(self, monkeypatch, capsys, message, reported):
+        # a basis of about 20|alpha| floats is 13.4 GiB at ALPHA_MAX: numpy's
+        # allocation failure is reported, not raised as a traceback
+        def boom(config, with_oracle=False):
+            raise MemoryError(message)
+        monkeypatch.setattr("jcm_entropy.cli.run_sweep", boom)
+        assert main(self.ARGS) == 1
+        assert capsys.readouterr().err == f"jcm-entropy: {reported}\n"
+
     def test_phase_overflow_exits_1(self, capsys):
         # T * sqrt(n+1) overflows at T = 5e307: refused, not passed on as NaN
         assert main(["--alpha-mag", "2", "--t-end", "1e308", "--t-steps", "3"]) == 1

@@ -182,24 +182,38 @@ class TestCoherentAmplitudes:
         assert p_err < 1e-16 and q_err < 1e-16
 
     @pytest.mark.parametrize("alpha_mag", [0.3, 7.0, 123.4, 1e4, 1e6, 1e7, 9e7])
-    def test_log_poisson_against_mpmath(self, alpha_mag):
-        # the window's tail bounds rest on ln p_n out to about 38 standard
-        # deviations; 2n ln|alpha| - |alpha|^2 - ln n! summed as it stands is
-        # 83 off there at 9e7, from terms near 3e17
-        mode = math.floor(alpha_mag ** 2)
+    def test_log_poisson_bound_against_mpmath(self, alpha_mag):
+        # the window's tail bounds rest on Stirling's leading term for ln p_n
+        # out to about 38 standard deviations: above ln p_n by Stirling's
+        # error, less than 1/(12n), up to rounding.  2n ln|alpha| - |alpha|^2
+        # - ln n! summed as it stands is 83 off there at 9e7, from terms near 3e17
+        mean = alpha_mag ** 2
+        mode = math.floor(mean)
         ns = sorted({max(0, mode + round(k * alpha_mag)) for k in range(-38, 39)})
         with mpmath.workdps(50):
             a2 = mpmath.mpf(alpha_mag) ** 2
-            err = max(abs(dynamics._log_poisson(n, alpha_mag)
-                          - (n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1)))
-                      for n in ns)
-        assert err < 1e-12
+            for n in ns:
+                excess = dynamics._log_poisson_bound(n, mean) - (
+                    n * mpmath.log(a2) - a2 - mpmath.loggamma(n + 1))
+                assert -1e-6 <= excess <= (1 / (12 * n) if n else 0.0) + 1e-6, n
+        assert dynamics._log_poisson_bound(0, mean) == -mean
 
     def test_window_alpha30(self):
         amps = coherent_amplitudes(30.0, 0.0, 1e-12)
         # floor(900 - 300 - 20) .. ceil(900 + 300 + 20)
         assert (amps.n_min, amps.n_max, amps.weights.size) == (580, 1220, 641)
         assert amps.coefficients.size == 641
+
+    def test_default_window_is_the_floor_rule(self):
+        # at these tolerances the 10|alpha| + 20 floor decides every window and
+        # the tail bound never widens one, so its precision reaches no output
+        # (|alpha| = 0 keeps the vacuum alone, as test_vacuum checks)
+        for tol in (1e-12, 1e-21):
+            for a in np.logspace(-3, math.log10(3e4), 200).tolist():
+                amps = coherent_amplitudes(a, 0.0, tol)
+                floor_rule = (max(0, math.floor(a * a - 10 * a - 20)),
+                              math.ceil(a * a + 10 * a + 20))
+                assert (amps.n_min, amps.n_max) == floor_rule, (tol, a)
 
     @pytest.mark.parametrize("alpha_mag,tol", [(0.3, 1e-12), (0.3, 1e-300), (7.0, 1e-12),
                                                (30.0, 1e-12), (30.0, 1e-40), (12.0, 1e-200)])
@@ -215,7 +229,8 @@ class TestCoherentAmplitudes:
                 term = mp_poisson(alpha_mag, n)
                 dropped += term
                 n += 1
-        assert dropped <= amps.tail_mass
+        # Stirling's error, dropped from the bound on ln p_n, costs under 1%
+        assert dropped <= amps.tail_mass <= 1.02 * dropped
 
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)

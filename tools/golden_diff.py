@@ -9,8 +9,10 @@ trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
 route of ``reduced_density``), a one-point grid, a grid one point longer
 than a sweep's run (its last run is one point, on the direct route), a
 grid starting next to the pure state (as CSV, and as JSON, whose small
-``t`` print in exponent notation), and the oracle column as CSV and
-JSON.  For each column the
+``t`` print in exponent notation), the oracle column as CSV and JSON, and
+|alpha| = 30 at ``--fock-tol 1e-40``, the one config whose Fock window the
+tail bound widens past the ``10|alpha| + 20`` floor (every other runs at the
+default 1e-12, where the floor decides).  For each column the
 worst absolute difference and the worst difference in units in the last
 place are printed, with the config and eta where the ulp worst occurs.  An
 ulp is that of the column's scale in the config, its largest finite |value|
@@ -63,6 +65,8 @@ CONFIGS = {
                        "--t-steps", "500", "--with-oracle", "--format", "structured"],
     "oracle-csv": ["--alpha-mag", "3", "--alpha-phase", "0.4", "--t-end", "20",
                    "--t-steps", "300", "--with-oracle"],
+    "tiny-fock-tol": ["--alpha-mag", "30", "--fock-tol", "1e-40", "--t-end", "60",
+                      "--t-steps", "2000"],
 }
 
 

@@ -28,11 +28,15 @@ Fixed notation holds for -4 <= X < 17 (``%g``) or -4 <= X < 16 (``repr``),
 X the decimal exponent of the rounded value, and ``d.ddde+XX`` (at least
 two exponent digits) otherwise; trailing zeros are dropped, and a bare
 point with them for ``%g``, while ``repr`` ends an integral fixed value in
-``.0``.  Each layout, set by the notation, X or the exponent's width, the
-count of significant digits and the sign, has one template per format: the
-rows of a block's source bytes (digits, exponent digits, signs, constants)
-that its text takes, in order.  A value's text is gathered by its layout's
-template, and the NUL padding dropped.
+``.0``.  A block's text is written into fixed fields, one row of bytes per
+field and a column per value: the sign; a ``0.000`` prefix, of which fixed
+notation with X < 0 takes ``0.`` and -X - 1 zeros; the 17 digits with the
+point after digit X, or after the first in exponent notation; ``e``, the
+exponent's sign and three exponent digits; the end byte.  A byte the value
+does not use is NUL: the digits past the significant ones, but for the
+zeros of an integer part and ``repr``'s ``0`` after it, a point with no digit
+after it, and the hundreds digit of an exponent below 100.  The fields are
+transposed, value after value, and the NULs dropped.
 """
 
 from __future__ import annotations
@@ -44,24 +48,17 @@ import numpy as np
 from .dynamics import _two_prod
 
 BLOCK = 2 ** 12        # values rendered at once; temporaries grow with this
-_WIDTH = 26            # bytes per value: at most 24 characters, the end, a NUL
 _FAST_MIN, _FAST_MAX = 1e-200, 1e200
 _TIE_MARGIN = 1e-9     # in units of the 17th digit: far above the scaling's 2**-46
 _S_MIN, _S_MAX = -185, 218  # s = 16 - k, k = floor(log10|v|) +- 1: one to spare
 _DIGITS = 17
 _JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Source rows of a block, one entry per value: the 17 digits, the three
-# exponent digits (zero-padded), the exponent's sign, the byte that ends
-# the value, and then constant characters.
-_EXP = _DIGITS
-_EXP_SIGN, _END, _MINUS, _POINT, _E, _ZERO, _NUL = range(_EXP + 3, _EXP + 10)
-_CONSTANTS = b"-.e0\0"
-_SOURCES = _NUL + 1
-# Layout slots: fixed notation for X = -4 .. 16 (repr stops at 15), then
-# exponent notation with two and three exponent digits.
-_FIXED_SLOTS = 21
-_SLOTS = _FIXED_SLOTS + 2
+# Rows of a block's text fields: the sign in row 0, then from these rows
+# the "0.000" prefix, the 17 digits and their point, "e" with the
+# exponent's sign and three digits, and the end byte.
+_PREFIX, _BODY, _EXP, _END = 1, 6, 24, 29
+_WIDTH = _END + 1
 
 
 @functools.cache
@@ -82,38 +79,6 @@ def _powers() -> tuple[np.ndarray, np.ndarray]:
         hi.append(h)
         lo.append(l)
     return np.array(hi), np.array(lo)
-
-
-def _template(slot: int, digits: int, shortest: bool) -> list[int]:
-    """Source rows of one unsigned layout and the value's end, NUL-padded
-    to _WIDTH - 1 (a sign takes the last byte)."""
-    d = list(range(digits))
-    if slot < _FIXED_SLOTS:
-        x = slot - 4
-        if x >= 0:  # the integer part keeps its zeros
-            fraction = d[x + 1:] or ([_ZERO] if shortest else [])
-            body = list(range(x + 1)) + ([_POINT] + fraction if fraction else [])
-        else:
-            body = [_ZERO, _POINT] + [_ZERO] * (-x - 1) + d
-    else:
-        exp_digits = 2 + (slot - _FIXED_SLOTS)
-        body = (d[:1] + ([_POINT] + d[1:] if digits > 1 else [])
-                + [_E, _EXP_SIGN] + list(range(_EXP + 3 - exp_digits, _EXP + 3)))
-    return body + [_END] + [_NUL] * (_WIDTH - 2 - len(body))
-
-
-@functools.cache
-def _templates(shortest: bool) -> np.ndarray:
-    """Every layout's template as offsets into a block's flattened source
-    rows, indexed by the layout key ``(slot * 17 + digits - 1) * 2 + negative``."""
-    unsigned = np.array([_template(slot, digits, shortest) for slot in range(_SLOTS)
-                         for digits in range(1, _DIGITS + 1)], dtype=np.intp)
-    table = np.empty((unsigned.shape[0], 2, _WIDTH), dtype=np.intp)
-    table[:, 0, :-1] = unsigned
-    table[:, 0, -1] = _NUL
-    table[:, 1, 0] = _MINUS
-    table[:, 1, 1:] = unsigned
-    return table.reshape(-1, _WIDTH) * BLOCK
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,43 +155,55 @@ def _fallback(x: float, shortest: bool) -> str:
 
 def _render_block(v: np.ndarray, end: np.ndarray, shortest: bool) -> bytes:
     digits, k, slow = _decimal(v, shortest)
-    buffer = np.empty((_SOURCES, BLOCK), dtype=np.uint8)
-    src = buffer[:, :v.size]
-    # the digits from the last, nine and eight at a time in one uint32 pair
+    # the digits, from the last, nine and eight at a time in one uint32
+    # pair, into rows 1 .. 17 of `digit`; rows 0 and 18 stay NUL
+    digit = np.zeros((_DIGITS + 2, v.size), dtype=np.uint8)
     pair = np.empty((2, v.size), dtype=np.uint32)
     pair[1] = digits // 10 ** 9
     pair[0] = digits - pair[1].astype(np.int64) * 10 ** 9
     for j in range(9):
         rest = pair // 10
         pair -= rest * 10
-        src[_DIGITS - 1 - j] = pair[0]
+        digit[_DIGITS - j] = pair[0]
         if j < 8:
-            src[7 - j] = pair[1]
+            digit[8 - j] = pair[1]
         pair = rest
-    nonzero_at = (src[:_DIGITS] != 0).view(np.uint8)
-    nonzero_at *= np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]
+    rows = np.arange(_DIGITS + 1, dtype=np.uint8)[:, None]
+    nonzero_at = (digit[1:-1] != 0).view(np.uint8)
+    nonzero_at *= rows[1:]
     kept = np.maximum(nonzero_at.max(axis=0), 1)  # significant digits; 1 for 0
-    src[:_DIGITS] += ord("0")
-    e = np.abs(k).astype(np.uint16)
-    src[_EXP] = e // 100
-    src[_EXP + 1] = e // 10 % 10
-    src[_EXP + 2] = e % 10
-    src[_EXP:_EXP + 3] += ord("0")
-    src[_EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
-    src[_END] = end
-    src[_MINUS:] = np.frombuffer(_CONSTANTS, dtype=np.uint8)[:, None]
 
+    k = k.astype(np.int16)
     fixed = (k >= -4) & (k < (16 if shortest else 17))
-    slot = np.where(fixed, k + 4, _FIXED_SLOTS + (e >= 100))
-    key = (slot * _DIGITS + kept - 1) * 2 + np.signbit(v)
-    index = np.take(_templates(shortest), key, axis=0)
-    index += np.arange(v.size)[:, None]
-    out = np.take(buffer.reshape(-1), index)
+    whole = fixed & (k >= 0)  # an integer part of k + 1 digits, zeros kept
+    # digits shown, and how many precede the point (17: no point here)
+    shown = np.maximum(kept, (k + 1 + shortest) * whole).astype(np.uint8)
+    before = np.where(whole, k + 1, np.where(fixed, _DIGITS, 1)).astype(np.uint8)
+    digit[1:-1] += ord("0")
+    digit[1:-1] *= rows[:-1] < shown
+
+    out = np.empty((_WIDTH, v.size), dtype=np.uint8)
+    out[0] = np.signbit(v) * np.uint8(ord("-"))
+    prefix = ((1 - k) * (fixed & (k < 0))).astype(np.uint8)  # "0." and -k - 1 zeros
+    np.multiply(np.frombuffer(b"0.000", dtype=np.uint8)[:, None], rows[:5] < prefix,
+                out=out[_PREFIX:_BODY])
+    body = out[_BODY:_EXP]
+    np.multiply(digit[1:], rows < before, out=body)  # digit c at column c ..
+    body += digit[:-1] * (rows > before)  # .. or at c + 1, past the point
+    body += (rows == before) * (np.uint8(ord(".")) * (before < shown))
+    sci = (~fixed).view(np.uint8)
+    e = np.abs(k)
+    out[_EXP] = sci * np.uint8(ord("e"))
+    out[_EXP + 1] = sci * np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
+    out[_EXP + 2] = (e // 100 + ord("0")) * (sci & (e >= 100))
+    out[_EXP + 3] = (e // 10 % 10 + ord("0")) * sci
+    out[_EXP + 4] = (e % 10 + ord("0")) * sci
+    out[_END] = end
     for i in np.flatnonzero(slow).tolist():
         text = _fallback(v[i].item(), shortest).encode() + bytes([end[i]])
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return out[out != 0].tobytes()
+        out[:, i] = 0
+        out[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return out.T.tobytes().translate(None, b"\0")
 
 
 def _render(values: np.ndarray, ends, shortest: bool) -> bytes:

@@ -15,6 +15,7 @@ SIAM Rev. 46, 443 (2004)); every other input takes the direct sums.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -230,7 +231,10 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     # |C_{n+1}| = |C_n| |alpha|/sqrt(n+1) above the mode, the inverse below
     weights[k + 1:] = np.cumprod(alpha_mag / np.sqrt(n[k + 1:]))
     weights[:k] = np.cumprod(np.sqrt(n[k:0:-1]) / alpha_mag)[::-1]
-    weights /= math.sqrt(math.fsum((weights * weights).tolist()))
+    # fsum's exactly rounded sum, fed a block of Python floats at a time
+    squares = itertools.chain.from_iterable(
+        np.square(weights[i:i + 4096]).tolist() for i in range(0, weights.size, 4096))
+    weights /= math.sqrt(math.fsum(squares))
     return FockAmplitudes(weights, n_min, n_max, alpha_phase, tail_mass)
 
 

@@ -232,6 +232,26 @@ class TestCoherentAmplitudes:
         # Stirling's error, dropped from the bound on ln p_n, costs under 1%
         assert dropped <= amps.tail_mass <= 1.02 * dropped
 
+    def test_normalizing_builds_no_list_of_all_the_weights(self):
+        # math.fsum over one list of the squares, a Python float per weight,
+        # peaked at 7 times the weights' bytes: about 94 GiB at ALPHA_MAX.
+        # Fed a block at a time, the same exactly rounded sum keeps the bits.
+        alpha_mag = 1e4
+        tracemalloc.start()
+        try:
+            amps = coherent_amplitudes(alpha_mag, 0.0, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = amps.weights
+        assert peak <= 4 * w.nbytes
+        n = np.arange(amps.n_min, amps.n_max + 1.0)
+        k = math.floor(alpha_mag ** 2) - amps.n_min
+        raw = np.ones(n.size)
+        raw[k + 1:] = np.cumprod(alpha_mag / np.sqrt(n[k + 1:]))
+        raw[:k] = np.cumprod(np.sqrt(n[k:0:-1]) / alpha_mag)[::-1]
+        np.testing.assert_array_equal(w, raw / math.sqrt(math.fsum((raw * raw).tolist())))
+
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)
         assert amps.n_max == 0

@@ -138,8 +138,8 @@ def test_file_and_stdout_give_the_same_bytes(sweep, tmp_path, capsysbinary, monk
 
 
 def test_rendering_memory_is_bounded_by_the_block(tmp_path):
-    # 200000 rows, 2.2e6 values: 1.7 MiB beyond the output's 47 MB, where
-    # whole-grid (values, 26) index arrays would take 458 MB and the `%`
+    # 200000 rows, 2.2e6 values: 0.5 MiB beyond the output's 47 MB, where
+    # whole-grid (30, values) text fields would take 66 MB and the `%`
     # route, holding the rows as Python strings, peaked 100 MiB beyond it
     rows = 200_000
     rng = np.random.default_rng(3)
@@ -176,6 +176,22 @@ def test_json_rendering_memory_is_bounded_by_the_block(tmp_path):
     size = out.stat().st_size
     assert size > 50 * 10 ** 6
     assert peak - size <= 1024 * _g17.BLOCK
+
+
+@pytest.mark.parametrize("render", [_g17.render, _g17.render_repr])
+def test_one_block_renders_within_a_mebibyte(render):
+    # the values of the 200000-row tests, one block of them; a (values, 26)
+    # intp index of per-layout templates took 832 KiB of the 1.37 MiB
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(_g17.BLOCK) * 10.0 ** rng.integers(-8, 8, _g17.BLOCK)
+    render(values, ord(","))  # builds the cached powers of ten
+    tracemalloc.start()
+    try:
+        text = render(values, ord(","))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - len(text) <= 2 ** 20
 
 
 def test_renderer_loads_with_the_first_csv():

@@ -12,7 +12,10 @@ grid starting next to the pure state (as CSV, and as JSON, whose small
 ``t`` print in exponent notation), the oracle column as CSV and JSON, and
 |alpha| = 30 at ``--fock-tol 1e-40``, the one config whose Fock window the
 tail bound widens past the ``10|alpha| + 20`` floor (every other runs at the
-default 1e-12, where the floor decides).  For each column the
+default 1e-12, where the floor decides), and |alpha| = 1e-150 from a negative
+integral ``t`` as CSV and JSON, whose text takes layouts no other config
+reaches: three exponent digits (``sy`` about 1.7e-150), ``-0`` and ``-0.0``,
+and ``-2`` and ``-2.0``.  For each column the
 worst absolute difference and the worst difference in units in the last
 place are printed, with the config and eta where the ulp worst occurs.  An
 ulp is that of the column's scale in the config, its largest finite |value|
@@ -67,6 +70,10 @@ CONFIGS = {
                    "--t-steps", "300", "--with-oracle"],
     "tiny-fock-tol": ["--alpha-mag", "30", "--fock-tol", "1e-40", "--t-end", "60",
                       "--t-steps", "2000"],
+    "layouts": ["--alpha-mag", "1e-150", "--t-start", "-2", "--t-end", "30",
+                "--t-steps", "200"],
+    "layouts-json": ["--alpha-mag", "1e-150", "--t-start", "-2", "--t-end", "30",
+                     "--t-steps", "200", "--format", "structured"],
 }
 
 

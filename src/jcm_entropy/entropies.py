@@ -1,8 +1,8 @@
 """Entanglement entropies of the atomic qubit as functions of the Bloch radius.
 
 Three measures are provided, the last two each by a closed form and an
-independent power series, summed as one Beta integral (the Wehrl oracle
-routes are in ``husimi``):
+independent power series, summed as one Beta integral (the Wehrl entropy's
+quadrature oracle is in ``husimi``):
 
 * linear entropy        xi    = (1 - eta^2)/2,            range [0, 1/2]
 * von Neumann entropy   gamma = -sum mu log mu,           range [0, ln 2]

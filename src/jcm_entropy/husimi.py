@@ -14,8 +14,8 @@ rule is built here, by Newton's method on the Legendre recurrence, not by
 40-digit ``mpmath`` rules its weights are within 1e-12 (relative) up to
 order 256, where ``leggauss``'s are up to 2.1e-11 off.
 
-``wehrl_entropy_quadrature`` and ``q_normalization`` take a Bloch vector
-with scalar or 1-D array fields.  Since Q is linear in the Bloch vector,
+``wehrl_entropy_quadrature`` takes a Bloch vector with scalar or 1-D
+array fields.  Since Q is linear in the Bloch vector,
 :class:`SphereQuadrature` builds once a (4, nodes) basis of the node
 geometry, and a block of points, stacked as rows [1, sz, sx, sy], gets its
 Q at every node as one matrix product with it.  Points are taken
@@ -34,8 +34,14 @@ elsewhere in the block hides none) and otherwise clamps Q at 0 with
 0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
 evaluated from (sx, sy, sz) at every node for every point, with no use of
 rotational symmetry, of eta, or of the closed form or the series.
-``wehrl_entropy_triple_sum``, the other oracle, integrates term by term the
-expansion whose azimuthal integrals ``trig_power_integral`` gives.
+
+Tolerance: at the default 64x128 nodes the quadrature is within 1e-13 of
+the closed form up to eta = 0.99, and within 1e-7 on all of [0, 1].  Q ln Q
+is not smooth where Q nears 0, at the antipode of a Bloch vector of length
+near 1, so the error grows toward eta = 1: over the poles, x and 200 random
+directions it is at most 4.8e-14 at eta = 0.99, 1.8e-9 at 0.999 and
+3.8e-8 at 1 (4.4e-8 over 20000 directions), and 8.9e-16, 1.2e-12 and
+2.3e-9 at 128x256.
 """
 
 from __future__ import annotations
@@ -48,13 +54,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector, _check_count, _check_quad_orders, _item
-from .entropies import LN4PI, _check_eta, _xlogx
-from .errors import DomainError, PrecisionLossError
+from .dynamics import BlochVector, _check_quad_orders, _item
+from .entropies import _xlogx
+from .errors import DomainError
 
 FOUR_PI = 4.0 * math.pi
 Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
-_TERM_MAGNITUDE_LIMIT = 1e15
 
 # Quadrature nodes per block of points.  It bounds each block's temporaries
 # (Q and Q ln Q, 256 KiB each); a point whose nodes exceed this is still
@@ -136,26 +141,9 @@ class SphereQuadrature:
                             ("basis", basis.reshape(4, -1) / FOUR_PI)):
             object.__setattr__(self, name, value)
 
-    @property
-    def total_weight(self) -> float:
-        # must equal the full solid angle 4 pi
-        return float(np.sum(self.mu_weights)) * self.phi_weight * self.phi_order
 
-
-def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
-    """Husimi Q density (1 + beta)/(4 pi) at a single sphere point."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta = {theta!r} outside [0, pi]")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise DomainError(f"phi = {phi!r} outside [0, 2*pi)")
-    beta = (bloch.sz * math.cos(theta)
-            + (bloch.sx * math.cos(phi) + bloch.sy * math.sin(phi)) * math.sin(theta))
-    return (1.0 + beta) / FOUR_PI
-
-
-def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
-    """The quadrature sum of Q ln Q (``log_q``) or of Q over the sphere, per
-    point.
+def _integrate(bloch: BlochVector, quad: SphereQuadrature):
+    """The quadrature sum of Q ln Q over the sphere, per point.
 
     The points are stacked as rows [1, sz, sx, sy] and taken ``rows`` at a
     time; a block's Q at every node is one product with ``quad.basis``.
@@ -193,7 +181,7 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
     def share(k):
         lo, hi = cuts[k], cuts[k + 1]
         try:
-            _integrate_share(coords[lo:hi], out[lo:hi], quad, log_q, rows)
+            _integrate_share(coords[lo:hi], out[lo:hi], quad, rows)
         except Exception as exc:  # raised by the caller, in grid order
             errors[k] = exc
 
@@ -212,9 +200,9 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature, log_q: bool):
 
 
 def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature,
-                     log_q: bool, rows: int) -> None:
+                     rows: int) -> None:
     """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
-    whole number of blocks of ``rows`` points.
+    whole number of blocks of ``rows`` points (none for an empty call).
 
     Q and Q ln Q take buffers allocated once, and the per-theta sums of
     ``_GROUP_BLOCKS`` blocks are weighted and reduced together, all with
@@ -226,24 +214,22 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     """
     theta, phi = quad.theta_order, quad.phi_order
     q = np.empty((rows, quad.basis.shape[1]))
-    q_log_q = np.empty_like(q) if log_q else q
+    q_log_q = np.empty_like(q)
     per_phi = q_log_q.reshape(rows, theta, phi)
     ones = np.ones(phi)
     weights = quad.mu_weights * quad.phi_weight
-    sums = np.empty((min(_GROUP_BLOCKS * rows, coords.shape[0]), theta))
+    step = _GROUP_BLOCKS * rows
+    sums = np.empty((min(step, coords.shape[0]), theta))
     with np.errstate(all="ignore"):
-        for start in range(0, coords.shape[0], sums.shape[0]):
+        for start in range(0, coords.shape[0], step):
             group = sums[:coords.shape[0] - start]
             for lo in range(0, group.shape[0], rows):
                 np.matmul(coords[start + lo:start + lo + rows], quad.basis, out=q)
-                if log_q:
-                    np.log(q, out=q_log_q)
-                    q_log_q *= q
+                np.log(q, out=q_log_q)
+                q_log_q *= q
                 np.matmul(per_phi, ones, out=group[lo:lo + rows])
             group *= weights
             np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
-        if not log_q:
-            return
         group = sums[:rows]
         # the blocks with a non-finite value; a share spans whole blocks
         redo = np.flatnonzero(~np.isfinite(out).reshape(-1, rows).all(axis=1))
@@ -270,73 +256,5 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
     The Bloch components are scalars or equal-length 1-D arrays; a scalar
     Bloch vector gives a Python float.
     """
-    return _item(-_integrate(bloch, quad, log_q=True))
+    return _item(-_integrate(bloch, quad))
 
-
-def q_normalization(bloch: BlochVector, quad: SphereQuadrature):
-    """Quadrature integral of Q over the sphere, per point; should be 1."""
-    return _item(_integrate(bloch, quad, log_q=False))
-
-
-def trig_power_integral(c1: float, c2: float, k: int) -> float:
-    """integral_0^{2 pi} (c1 sin x + c2 cos x)^k dx.
-
-    Zero for odd k; for k = 2m equals 2 pi (2m)!/(4^m m!^2) (c1^2+c2^2)^m,
-    with the central-binomial ratio built as a product of (2j-1)/(2j)
-    factors rather than through factorials.
-    """
-    _check_count("k", k, 0)
-    if k % 2 == 1:
-        return 0.0
-    m = k // 2
-    ratio = 1.0
-    for j in range(1, m + 1):
-        ratio *= (2 * j - 1) / (2 * j)
-    return 2.0 * math.pi * ratio * (c1 * c1 + c2 * c2) ** m
-
-
-def _gammaln(x: np.ndarray) -> np.ndarray:
-    """ln Gamma(x) elementwise by ``math.lgamma``, once per distinct argument."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.lgamma(v) for v in values.tolist()])[inverse]
-
-
-def wehrl_entropy_triple_sum(bloch: BlochVector, n_terms: int) -> float:
-    """Atomic Wehrl entropy from the raw sum over Bloch-vector components.
-
-    The underlying expansion is a triple sum over (n, r, s) in which the
-    alternating s-sum encodes the polar integral
-    integral_0^1 t^{2(n-r)} (1-t^2)^r dt.  Summing it term by term loses
-    all precision once sz^2 and sx^2+sy^2 are both appreciable (individual
-    terms exceed 1e15 near n ~ 85), so that inner sum is carried out by
-    exact cancellation to its beta-function value and the remaining (n, r)
-    terms, all positive, are accumulated in log space.
-    """
-    _check_count("n_terms", n_terms, 1)
-    _check_eta(bloch.eta)
-    u = bloch.sz * bloch.sz
-    v = bloch.sx * bloch.sx + bloch.sy * bloch.sy
-
-    n = np.concatenate([np.full(k + 1, k) for k in range(1, n_terms + 1)])
-    r = np.concatenate([np.arange(k + 1) for k in range(1, n_terms + 1)])
-
-    # 0^0 = 1 here: a zero component only kills terms with a positive power
-    if u > 0.0:
-        pow_u = (n - r) * math.log(u)
-    else:
-        pow_u = np.where(n - r > 0, -np.inf, 0.0)
-    if v > 0.0:
-        pow_v = r * math.log(v)
-    else:
-        pow_v = np.where(r > 0, -np.inf, 0.0)
-
-    log_terms = (_gammaln(2 * n + 1) + _gammaln(n - r + 0.5) + pow_u + pow_v
-                 - np.log(2.0 * n * (2.0 * n - 1.0))
-                 - _gammaln(2 * (n - r) + 1) - _gammaln(r + 1.0)
-                 - r * math.log(4.0) - math.log(2.0) - _gammaln(n + 1.5))
-
-    if np.any(log_terms > math.log(_TERM_MAGNITUDE_LIMIT)):
-        raise PrecisionLossError(
-            "triple-sum partial term exceeds 1e15; input Bloch vector is "
-            "outside the unit ball")
-    return LN4PI - float(np.sum(np.exp(log_terms)))

@@ -18,16 +18,14 @@ from jcm_entropy import (
     SphereQuadrature,
     coherent_amplitudes,
     bloch_vector,
-    q_normalization,
     reduced_density,
     run_sweep,
-    trig_power_integral,
     von_neumann_entropy,
     wehrl_entropy_closed,
     wehrl_entropy_quadrature,
     wehrl_entropy_series,
-    wehrl_entropy_triple_sum,
 )
+from oracles import q_normalization, trig_power_integral, wehrl_entropy_triple_sum
 
 
 def report(name, ok):

@@ -260,13 +260,14 @@ def _loaded(code):
 
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is the one runtime dependency: importing the CLI, and running the
-    # triple sum, may add to what a bare interpreter loads (site hooks
+    # oracle quadrature, may add to what a bare interpreter loads (site hooks
     # included) only stdlib, numpy and jcm_entropy modules, so no scipy,
     # which would cost the CLI most of its start-up time.  numpy.fft is loaded
     # by the spectral route of reduced_density when it runs, not on import.
     bare = _loaded("")
     added = _loaded("import jcm_entropy as j, jcm_entropy.cli; "
-                    "j.wehrl_entropy_triple_sum(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), 20); ")
+                    "j.wehrl_entropy_quadrature(j.BlochVector(0.3, 0.2, 0.5, 0.6164414), "
+                    "j.SphereQuadrature(8, 8)); ")
     allowed = set(sys.stdlib_module_names) | {"numpy", "jcm_entropy"}
     assert sorted(m for m in added - bare if m.split(".")[0] not in allowed) == []
     assert sorted(m for m in added if m.startswith("numpy.fft")) == []

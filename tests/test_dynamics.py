@@ -18,8 +18,6 @@ from jcm_entropy import (
     coherent_amplitudes,
     reduced_density,
     run_sweep,
-    trig_power_integral,
-    wehrl_entropy_triple_sum,
 )
 from jcm_entropy import dynamics
 from jcm_entropy.dynamics import (
@@ -27,6 +25,7 @@ from jcm_entropy.dynamics import (
     SPECTRAL_MIN_TIMES,
     SPECTRAL_TOL,
 )
+from oracles import trig_power_integral, wehrl_entropy_triple_sum
 
 
 def poisson_log_weights(alpha_mag, n):

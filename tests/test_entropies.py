@@ -23,9 +23,9 @@ from jcm_entropy import (
     von_neumann_series,
     wehrl_entropy_closed,
     wehrl_entropy_series,
-    wehrl_entropy_triple_sum,
 )
 from jcm_entropy.cli import main
+from oracles import wehrl_entropy_triple_sum
 
 
 # both series against 50-digit values, on all of [0, 1]

@@ -245,8 +245,12 @@ CHUNK_ELEMENTS = 2 ** 13
 
 # The spectral route of reduced_density.  It is taken on a uniform grid of
 # at least SPECTRAL_MIN_TIMES times and SPECTRAL_MIN_PHASES Rabi phases
-# (times x basis terms), where it measured faster than the direct sums, and
-# for a basis of more than one term (every |alpha| > 0 keeps at least 21).
+# (times x basis terms), for a basis of more than one term (every |alpha| > 0
+# keeps at least 21).  The time count is the large-basis crossover (at
+# |alpha| = 60 the route is slower at 80 times, faster at 127).  The phase
+# count is about 5x the small-basis crossover (200 times at |alpha| = 7); it
+# keeps short small-basis grids on the direct route, bit for bit a scalar
+# call's values, as TestPointwiseParity and seven golden configs expect.
 # It sums the whole grid as one block, anchored at T[0].  SPECTRAL_TOL
 # bounds, against the exact sums, how far each of rho_ee, rho_gg and rho_eg
 # moves from its value at T[0].

@@ -6,5 +6,5 @@ class DomainError(ValueError):
 
 
 class PrecisionLossError(ArithmeticError):
-    """A route cannot reach its accuracy: a partial term grew large enough that
-    cancellation would destroy it, or a series did not settle to its tolerance."""
+    """A route cannot reach its accuracy.  The library raises it where a Wehrl
+    series does not settle to ``series_tol``; the test oracles raise it too."""

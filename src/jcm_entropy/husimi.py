@@ -17,8 +17,10 @@ order 256, where ``leggauss``'s are up to 2.1e-11 off.
 ``wehrl_entropy_quadrature`` takes a Bloch vector with scalar or 1-D
 array fields.  Since Q is linear in the Bloch vector,
 :class:`SphereQuadrature` builds once a (4, nodes) basis of the node
-geometry, and a block of points, stacked as rows [1, sz, sx, sy], gets its
-Q at every node as one matrix product with it.  Points are taken
+geometry and the weight of each node, the Gauss-Legendre weight times the
+phi weight.  A block of points, stacked as rows [1, sz, sx, sy], gets its
+Q at every node as one matrix product with the basis, and each point's
+sum as one product of its Q ln Q with the weights.  Points are taken
 ``QUAD_ELEMENTS`` nodes at a time (4 points at 64x128), every block padded
 to the same shape, so each point's value is that of a scalar call, bit for
 bit; a scalar call pays for one block.  Every call runs one share loop:
@@ -40,7 +42,7 @@ the closed form up to eta = 0.99, and within 1e-7 on all of [0, 1].  Q ln Q
 is not smooth where Q nears 0, at the antipode of a Bloch vector of length
 near 1, so the error grows toward eta = 1: over the poles, x and 200 random
 directions it is at most 4.8e-14 at eta = 0.99, 1.8e-9 at 0.999 and
-3.8e-8 at 1 (4.4e-8 over 20000 directions), and 8.9e-16, 1.2e-12 and
+3.8e-8 at 1 (4.4e-8 over 20000 directions), and 3.1e-15, 1.2e-12 and
 2.3e-9 at 128x256.
 """
 
@@ -68,13 +70,9 @@ QUAD_ELEMENTS = 2 ** 15
 # Threads that share one call's blocks, the calling one included.  Each
 # holds its own Q and Q ln Q buffers, so this, not the host, bounds the
 # memory: beyond its output, a 2000-point oracle sweep at 64x128 holds
-# 1.12 MiB with one, 1.69-1.75 MiB with two and 2.25 MiB with three, where
+# 1.05-1.20 MiB with one, 1.56 MiB with two and 2.06 MiB with three, where
 # the tests allow 2 MiB.
 _MAX_WORKERS = 2
-# Blocks whose per-theta sums are weighted and reduced by one call (64 KiB
-# at 64x128), so few short calls that hold the GIL remain between the long
-# products and logs, which release it
-_GROUP_BLOCKS = 32
 
 
 def _legendre(order: int, x: np.ndarray):
@@ -118,15 +116,17 @@ def _gauss_legendre(order: int):
 
 @dataclass(frozen=True)
 class SphereQuadrature:
+    """The product rule at ``theta_order`` x ``phi_order`` nodes; a rule
+    equals and hashes as its two orders."""
+
     theta_order: int
     phi_order: int
-    mu_nodes: np.ndarray = field(init=False, repr=False)
-    mu_weights: np.ndarray = field(init=False, repr=False)
-    phi_nodes: np.ndarray = field(init=False, repr=False)
-    phi_weight: float = field(init=False, repr=False)
     # (4, theta_order * phi_order): Q at node (i, j), column i * phi_order + j,
     # is [1, sz, sx, sy] @ basis
-    basis: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    # (theta_order * phi_order,): node (i, j)'s Gauss-Legendre weight times
+    # the phi weight 2 pi / phi_order
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_quad_orders(self.theta_order, self.phi_order)
@@ -136,10 +136,9 @@ class SphereQuadrature:
         basis = np.stack([np.broadcast_to(row, (self.theta_order, self.phi_order))
                           for row in (1.0, mu[:, None], sin_theta * np.cos(phi),
                                       sin_theta * np.sin(phi))])
-        for name, value in (("mu_nodes", mu), ("mu_weights", w), ("phi_nodes", phi),
-                            ("phi_weight", 2.0 * math.pi / self.phi_order),
-                            ("basis", basis.reshape(4, -1) / FOUR_PI)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "basis", basis.reshape(4, -1) / FOUR_PI)
+        object.__setattr__(self, "weights", np.repeat(
+            w * (2.0 * math.pi / self.phi_order), self.phi_order))
 
 
 def _integrate(bloch: BlochVector, quad: SphereQuadrature):
@@ -149,8 +148,8 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     time; a block's Q at every node is one product with ``quad.basis``.
     Each block has the same shape: the last, and a lone point, are padded
     with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
-    not depend on the points that share its call.  The sum runs over phi
-    per theta, then against the theta weights.  The blocks are cut into
+    not depend on the points that share its call.  Each point's sum is one
+    product of its Q ln Q with ``quad.weights``.  The blocks are cut into
     contiguous shares, one per worker: at most ``_MAX_WORKERS``, the usable
     cores, and one per two blocks.  Every call runs the same loop over its
     shares: the calling thread takes the first, and each other share runs
@@ -204,40 +203,31 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
     """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
     whole number of blocks of ``rows`` points (none for an empty call).
 
-    Q and Q ln Q take buffers allocated once, and the per-theta sums of
-    ``_GROUP_BLOCKS`` blocks are weighted and reduced together, all with
-    floating-point warnings off.  Q ln Q is taken as ``log(Q) * Q``.  A
-    block with a point whose value comes out non-finite (a node at or below
-    0, or a non-finite input) is taken again through ``_q_log_q``, the
-    checked path, which tests every node against the floor and gives the
+    Q and Q ln Q take buffers allocated once, with floating-point warnings
+    off.  Q ln Q is taken as ``log(Q) * Q``, and each point's sum as one
+    stacked product of its row with ``quad.weights``; a flat product of the
+    block with the weights would round a point's sum by the block's row
+    count.  A block with a point whose value comes out non-finite (a node at
+    or below 0, or a non-finite input) is taken again through ``_q_log_q``,
+    the checked path, which tests every node against the floor and gives the
     same bits wherever Q > 0, so every value is the checked path's.
     """
-    theta, phi = quad.theta_order, quad.phi_order
-    q = np.empty((rows, quad.basis.shape[1]))
+    nodes = quad.weights.size
+    q = np.empty((rows, nodes))
     q_log_q = np.empty_like(q)
-    per_phi = q_log_q.reshape(rows, theta, phi)
-    ones = np.ones(phi)
-    weights = quad.mu_weights * quad.phi_weight
-    step = _GROUP_BLOCKS * rows
-    sums = np.empty((min(step, coords.shape[0]), theta))
     with np.errstate(all="ignore"):
-        for start in range(0, coords.shape[0], step):
-            group = sums[:coords.shape[0] - start]
-            for lo in range(0, group.shape[0], rows):
-                np.matmul(coords[start + lo:start + lo + rows], quad.basis, out=q)
-                np.log(q, out=q_log_q)
-                q_log_q *= q
-                np.matmul(per_phi, ones, out=group[lo:lo + rows])
-            group *= weights
-            np.add.reduce(group, axis=-1, out=out[start:start + group.shape[0]])
-        group = sums[:rows]
+        for lo in range(0, coords.shape[0], rows):
+            np.matmul(coords[lo:lo + rows], quad.basis, out=q)
+            np.log(q, out=q_log_q)
+            q_log_q *= q
+            np.matmul(q_log_q.reshape(rows, 1, nodes), quad.weights,
+                      out=out[lo:lo + rows].reshape(rows, 1))
         # the blocks with a non-finite value; a share spans whole blocks
         redo = np.flatnonzero(~np.isfinite(out).reshape(-1, rows).all(axis=1))
         for lo in (redo * rows).tolist():
             np.matmul(coords[lo:lo + rows], quad.basis, out=q)
-            np.matmul(_q_log_q(q).reshape(rows, theta, phi), ones, out=group)
-            group *= weights
-            np.add.reduce(group, axis=-1, out=out[lo:lo + rows])
+            np.matmul(_q_log_q(q).reshape(rows, 1, nodes), quad.weights,
+                      out=out[lo:lo + rows].reshape(rows, 1))
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:

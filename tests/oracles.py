@@ -32,12 +32,11 @@ def atomic_q(bloch: BlochVector, theta: float, phi: float) -> float:
 def q_normalization(bloch: BlochVector, quad: SphereQuadrature) -> float:
     """Quadrature integral of Q over the sphere; should be 1.
 
-    Q at every node is [1, sz, sx, sy] @ ``quad.basis``; its sum over phi
-    per theta is weighted by ``mu_weights * phi_weight``.
+    Q at every node is [1, sz, sx, sy] @ ``quad.basis``, weighted by the
+    node weights ``quad.weights``.
     """
     q = np.array([1.0, bloch.sz, bloch.sx, bloch.sy]) @ quad.basis
-    per_theta = q.reshape(quad.theta_order, quad.phi_order).sum(axis=1)
-    return float(np.sum(per_theta * (quad.mu_weights * quad.phi_weight)))
+    return float(q @ quad.weights)
 
 
 def trig_power_integral(c1: float, c2: float, k: int) -> float:

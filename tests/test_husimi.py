@@ -34,8 +34,16 @@ class TestQuadratureConstruction:
     def test_weights_cover_solid_angle(self):
         for orders in [(2, 4), (16, 32), (64, 128)]:
             quad = SphereQuadrature(*orders)
-            total = float(np.sum(quad.mu_weights)) * quad.phi_weight * quad.phi_order
-            assert total == pytest.approx(FOUR_PI, abs=1e-12)
+            nodes = orders[0] * orders[1]
+            assert quad.basis.shape == (4, nodes) and quad.weights.shape == (nodes,)
+            assert float(np.sum(quad.weights)) == pytest.approx(FOUR_PI, abs=1e-12)
+
+    def test_rule_equals_and_hashes_as_its_orders(self):
+        assert SphereQuadrature(16, 32) == SphereQuadrature(16, 32)
+        assert SphereQuadrature(16, 32) != SphereQuadrature(16, 64)
+        assert hash(SphereQuadrature(16, 32)) == hash(SphereQuadrature(16, 32))
+        rules = {SphereQuadrature(16, 32), SphereQuadrature(16, 32), SphereQuadrature(32, 16)}
+        assert sorted((r.theta_order, r.phi_order) for r in rules) == [(16, 32), (32, 16)]
 
     def test_order_floors(self):
         with pytest.raises(DomainError):
@@ -142,7 +150,8 @@ class TestWehrlQuadrature:
             got = wehrl_entropy_quadrature(bloch(0.0, 0.6 * eta, 0.8 * eta), quad)
             assert abs(got - wehrl_entropy_closed(eta)) < 1e-8
 
-    @pytest.mark.parametrize("eta,bound", [(0.99, 1e-13), (0.999, 1e-7), (1.0, 1e-7)])
+    @pytest.mark.parametrize("eta,bound", [(0.0, 1e-13), (0.5, 1e-13), (0.99, 1e-13),
+                                           (0.999, 1e-7), (1.0, 1e-7)])
     def test_stated_tolerance_at_default_orders(self, eta, bound):
         # the bound the husimi docstring states at the default 64x128 nodes,
         # over +z, -z, x and 200 random directions
@@ -171,12 +180,19 @@ class TestWehrlQuadrature:
 
 def masked_quadrature(b, quad):
     """The oracle node by node as a formula: Q = (1 + beta)/(4 pi), then
-    -sum w Q ln Q with Q clamped at 0 and 0 ln 0 = 0."""
-    mu = quad.mu_nodes[:, None]
-    phi = quad.phi_nodes[None, :]
+    -sum w Q ln Q with Q clamped at 0 and 0 ln 0 = 0, summed over phi per
+    theta and then against the Gauss-Legendre weights."""
+    mu, w = husimi._gauss_legendre(quad.theta_order)
+    mu = mu[:, None]
+    phi = phi_grid(quad)[None, :]
     beta = b.sz * mu + (b.sx * np.cos(phi) + b.sy * np.sin(phi)) * np.sqrt(1.0 - mu ** 2)
     q = np.maximum((1.0 + beta) / FOUR_PI, 0.0)
-    return float(quad.mu_weights @ np.sum(-_xlogx(q), axis=1)) * quad.phi_weight
+    return float(w @ np.sum(-_xlogx(q), axis=1)) * (2.0 * math.pi / quad.phi_order)
+
+
+def phi_grid(quad):
+    """The rule's uniform phi grid, as ``SphereQuadrature`` builds it."""
+    return 2.0 * math.pi * np.arange(quad.phi_order) / quad.phi_order
 
 
 def random_components(count, seed, max_radius=1.0):
@@ -186,7 +202,11 @@ def random_components(count, seed, max_radius=1.0):
 
 
 class TestArrayQuadrature:
-    @pytest.mark.parametrize("orders,count", [((64, 128), 11), ((16, 32), 150)])
+    # 4 and 64 points a block, and 3, 5, 6 and 7, counts a flat product of a
+    # block with the weights rounds differently from a lone point
+    @pytest.mark.parametrize("orders,count", [((64, 128), 11), ((16, 32), 150),
+                                              ((91, 120), 11), ((80, 80), 11),
+                                              ((73, 74), 11), ((68, 68), 11)])
     def test_array_matches_scalar_calls_bit_for_bit(self, orders, count):
         quad = SphereQuadrature(*orders)
         rows = QUAD_ELEMENTS // (orders[0] * orders[1])
@@ -251,12 +271,13 @@ class TestArrayQuadrature:
                             lambda x: masked.append(threading.current_thread()) or _xlogx(x))
         usable_cores(2)
         quad = SphereQuadrature(64, 128)
+        mu_nodes, phis = husimi._gauss_legendre(64)[0], phi_grid(quad)
         vectors, values = [], []
         for i in range(0, 64, 3):
-            mu = quad.mu_nodes[i].item()
+            mu = mu_nodes[i].item()
             for j in (0, 32, 45):
                 s = math.sqrt(1.0 - mu * mu)
-                phi = quad.phi_nodes[j].item()
+                phi = phis[j].item()
                 b = BlochVector(-s * math.cos(phi), -s * math.sin(phi), -mu, 1.0)
                 got = wehrl_entropy_quadrature(b, quad)
                 want = masked_quadrature(b, quad)
@@ -283,7 +304,12 @@ class TestWorkers:
     """A call of four blocks or more is split over two threads where the
     host reports two usable cores or more."""
 
-    @pytest.mark.parametrize("orders,count", [((64, 128), 17), ((16, 32), 273)])
+    # 4, 64, 3, 5, 6, 7 and 4096 points a block; at 4096, every 64th point
+    # from the last back is checked against its scalar call
+    @pytest.mark.parametrize("orders,count", [((64, 128), 17), ((16, 32), 273),
+                                              ((91, 120), 14), ((80, 80), 22),
+                                              ((73, 74), 26), ((68, 68), 30),
+                                              ((2, 4), 4 * 4096 + 1)])
     def test_worker_count_does_not_change_values(self, orders, count, usable_cores,
                                                  started_threads):
         quad = SphereQuadrature(*orders)
@@ -298,7 +324,7 @@ class TestWorkers:
         split = wehrl_entropy_quadrature(arrays, quad)
         assert len(started_threads) == 1
         assert split.tobytes() == alone.tobytes()
-        for i in range(count):
+        for i in range(count - 1, -1, -max(1, rows // 64)):
             one = wehrl_entropy_quadrature(bloch(sx[i].item(), sy[i].item(), sz[i].item()),
                                            quad)
             assert one == split[i], i

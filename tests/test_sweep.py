@@ -74,6 +74,15 @@ class TestPointwiseParity:
         assert 1 < chunk < 100 and 100 % chunk
         assert_matches_pointwise(config)
 
+    def test_short_small_basis_grid_stays_direct(self):
+        # enough times for the spectral route, but too few phases, so the
+        # sweep takes the direct route and each row is the scalar call's
+        config = SimulationConfig(alpha_mag=3.0, alpha_phase=0.4, t_end=20.0, t_steps=300)
+        basis = coherent_amplitudes(3.0, 0.4, 1e-12).coefficients.size
+        assert 300 >= dynamics.SPECTRAL_MIN_TIMES
+        assert 300 * basis < dynamics.SPECTRAL_MIN_PHASES
+        assert_matches_pointwise(config)
+
     def test_single_point(self):
         config = SimulationConfig(alpha_mag=2.0, t_start=1.5, t_end=1.5, t_steps=1)
         result = assert_matches_pointwise(config)

@@ -246,9 +246,9 @@ CHUNK_ELEMENTS = 2 ** 13
 # The spectral route of reduced_density.  It is taken on a uniform grid of
 # at least SPECTRAL_MIN_TIMES times and SPECTRAL_MIN_PHASES Rabi phases
 # (times x basis terms), for a basis of more than one term (every |alpha| > 0
-# keeps at least 21).  The time count is the large-basis crossover (at
-# |alpha| = 60 the route is slower at 80 times, faster at 127).  The phase
-# count is about 5x the small-basis crossover (200 times at |alpha| = 7); it
+# keeps at least 21).  The time count is the large-basis crossover: at
+# |alpha| = 60 the route is slower at 80 and 100 times, faster at 127.  The
+# phase count, about 6x the small-basis crossover (160 times at |alpha| = 7),
 # keeps short small-basis grids on the direct route, bit for bit a scalar
 # call's values, as TestPointwiseParity and seven golden configs expect.
 # It sums the whole grid as one block, anchored at T[0].  SPECTRAL_TOL
@@ -340,18 +340,19 @@ def _spectral_sums(p, q, n1, root, T, h):
     """The sums of ``_direct_sums`` on the uniform grid T of step h.
 
     With r_n = sqrt(n+1), rho_ee - rho_gg = sum p_n cos(2 T r_n) and
-    coh = 1/2 sum q_n [sin(T (r_n + r_{n+1})) - sin(T (r_{n+1} - r_n))]: three
-    sums sum c_n exp(i w_n T), each summed over the whole grid, at times
-    t_k = centre + k h, as one type-1 nonuniform FFT: each term is spread
-    with a Gaussian onto a twice oversampled grid (``np.bincount``), the
-    grid is inverse-transformed and the Gaussian divided out.  The
-    frequencies are formed in double-double and the phases w_n * centre and
-    the nodes w_n h / (2 pi) mod 1 by exact products, so no phase carries
-    the rounding of a large product.  A grid time differs from its t_k by a
-    skew of a few ulps, which each sum follows to first order: a second
-    transform gives its rate sum_n i w_n c_n exp(i w_n t_k).  The grid is
-    anchored at T[0]: there the direct sums are taken, and elsewhere those
-    values plus the spectral change since T[0], which is 0 at T[0] itself.
+    coh = 1/2 sum q_n [sin(T (r_n + r_{n+1})) - sin(T (r_{n+1} - r_n))]: two
+    transforms, the population inversion and the coherence, whose two sine
+    bands are one band of coefficients q_n and -q_n.  Each sums
+    c_n exp(i w_n T) over the grid at times t_k = centre + k h as one type-1
+    nonuniform FFT: each term is spread with a Gaussian onto a twice
+    oversampled grid (``np.bincount``), the grid is inverse-transformed and
+    the Gaussian divided out.  The frequencies are formed in double-double
+    and the phases w_n * centre and the nodes w_n h / (2 pi) mod 1 by exact
+    products, so no phase carries the rounding of a large product.  A grid
+    time differs from its t_k by a skew of a few ulps, which each sum
+    follows to first order, its rate sum_n i w_n c_n exp(i w_n t_k) being a
+    second row of the same transform.  The grid is anchored at T[0], where
+    the direct sums are taken; elsewhere it adds the spectral change since T[0].
     """
     from numpy.fft import ifft  # loaded only when this route runs
 
@@ -372,11 +373,11 @@ def _spectral_sums(p, q, n1, root, T, h):
     prod, err = _two_prod(root, root)
     root_lo = ((n1 - prod) - err) / (2.0 * root)  # sqrt(n+1) - root
     pair, pair_lo = _two_sum(root[:-1], root[1:])
-    bands = [(p, 2.0 * root, 2.0 * root_lo),
-             (q, pair, pair_lo + root_lo[:-1] + root_lo[1:]),
-             (q, root[1:] - root[:-1], root_lo[1:] - root_lo[:-1])]
+    plus = (q, pair, pair_lo + root_lo[:-1] + root_lo[1:])
+    minus = (-q, root[1:] - root[:-1], root_lo[1:] - root_lo[:-1])
+    bands = [(p, 2.0 * root, 2.0 * root_lo), tuple(map(np.concatenate, zip(plus, minus)))]
+    del prod, err, root_lo, pair, pair_lo, plus, minus
     bands = [(c, w, w_lo, *_nodes(w, w_lo, step, step_lo, cells)) for c, w, w_lo in bands]
-    del prod, err, root_lo, pair, pair_lo
 
     centre = T[0] + (modes // 2) * h  # the time of mode 0
     # skew = T - (centre + k h), exact to rounding
@@ -411,7 +412,6 @@ def _spectral_sums(p, q, n1, root, T, h):
     change = band_sum(bands[0]).real  # of rho_ee - rho_gg
     change -= change[0]
     sine = band_sum(bands[1]).imag
-    sine -= band_sum(bands[2]).imag
     sine -= sine[0]
     return anchor_ee + 0.5 * change, anchor_gg - 0.5 * change, anchor_coh + 0.5 * sine
 
@@ -436,9 +436,9 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     T.size * basis.  It forms every phase and node exactly, so from T[0]
     each entry changes to within ``SPECTRAL_TOL`` of the exact sums' change
     at any grid length while T*sqrt(n_max+1) stays below 1e9; at T[0], its
-    one anchor, it equals the direct route.  It sums the grid as one block,
-    with working memory of about 220 B a time.  A scalar, a non-uniform
-    array or a short grid takes the direct route.
+    one anchor, it equals the direct route.  It sums the grid as one block by
+    two transforms, the population inversion and the coherence, with working
+    memory of about 200 B a time.  Any other T takes the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums (the spectral route's

@@ -528,6 +528,33 @@ class TestSpectralRoute:
         for j in (1, 333, 998, 999):
             self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
 
+    def test_against_mpmath_at_a_grids_ends(self, spectral_calls):
+        # the collapse-a30 grid starts past T = 0: its first and last times,
+        # where the coherence's r_{n+1} - r_n frequencies are furthest off
+        amps = coherent_amplitudes(30.0, 0.7, 1e-12)
+        T = np.linspace(3.0, 33.0, 4000)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        ref0 = mp_density(amps, T[0], roots)
+        for j in (1, 2, T.size // 2, T.size - 3, T.size - 2, T.size - 1):
+            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+
+    def test_two_transforms(self, monkeypatch, spectral_calls):
+        # one inverse FFT for the population inversion, one for the coherence
+        transforms = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            transforms.append(args)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)  # imported at call time
+        reduced_density(coherent_amplitudes(30.0, 0.7, 1e-12), np.linspace(3.0, 33.0, 4000))
+        assert spectral_calls == [4000]
+        assert len(transforms) == 2
+
     def test_against_mpmath_alpha1000(self, revivals_alpha1000):
         amps, T, roots, rho = revivals_alpha1000
         ref0 = mp_density(amps, T[0], roots)

@@ -292,7 +292,7 @@ def working_memory(config, with_oracle=False):
 
 @pytest.mark.parametrize("alpha_mag,t_steps", [(7.0, 4000), (30.0, 16000), (200.0, 200000)])
 def test_working_memory_is_bounded(alpha_mag, t_steps):
-    # 1.3, 1.3 and 1.6 MiB, the three on the spectral route, whose blocks
+    # 1.1, 1.1 and 1.5 MiB, the three on the spectral route, whose blocks
     # and the sweep's runs of points hold 4096 times; a sweep holding one
     # object per row peaked at 7.1 MiB at (30, 16000), 5.7 MiB above its
     # 1.3 MiB of values, and one holding whole-grid temporaries at 5 MiB at

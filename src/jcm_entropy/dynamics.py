@@ -251,9 +251,8 @@ CHUNK_ELEMENTS = 2 ** 13
 # phase count, about 6x the small-basis crossover (160 times at |alpha| = 7),
 # keeps short small-basis grids on the direct route, bit for bit a scalar
 # call's values, as TestPointwiseParity and seven golden configs expect.
-# It sums the whole grid as one block, anchored at T[0].  SPECTRAL_TOL
-# bounds, against the exact sums, how far each of rho_ee, rho_gg and rho_eg
-# moves from its value at T[0].
+# It sums the grid as one block, each entry within SPECTRAL_TOL of the exact
+# sums at every time; a grid starting at T = 0 gets the exact initial state.
 SPECTRAL_MIN_TIMES = 2 ** 7
 SPECTRAL_MIN_PHASES = 2 ** 17
 SPECTRAL_TOL = 1e-13
@@ -351,8 +350,8 @@ def _spectral_sums(p, q, n1, root, T, h):
     products, so no phase carries the rounding of a large product.  A grid
     time differs from its t_k by a skew of a few ulps, which each sum
     follows to first order, its rate sum_n i w_n c_n exp(i w_n t_k) being a
-    second row of the same transform.  The grid is anchored at T[0], where
-    the direct sums are taken; elsewhere it adds the spectral change since T[0].
+    second row of the same transform.  A grid starting at T = 0 is shifted
+    there to the exact initial state, bit for bit the direct route's.
     """
     from numpy.fft import ifft  # loaded only when this route runs
 
@@ -408,12 +407,13 @@ def _spectral_sums(p, q, n1, root, T, h):
         value += 1j * skew * rate  # first order in the skew
         return value
 
-    (anchor_ee,), (anchor_gg,), (anchor_coh,) = _direct_sums(p, q, root, T[:1])
-    change = band_sum(bands[0]).real  # of rho_ee - rho_gg
-    change -= change[0]
+    total = np.add.reduce(p)
+    inversion = band_sum(bands[0]).real  # rho_ee - rho_gg
     sine = band_sum(bands[1]).imag
-    sine -= sine[0]
-    return anchor_ee + 0.5 * change, anchor_gg - 0.5 * change, anchor_coh + 0.5 * sine
+    if T[0] == 0.0:  # the exact initial state: total - inversion[0] is exact
+        inversion += total - inversion[0]
+        sine -= sine[0]
+    return 0.5 * (total + inversion), 0.5 * (total - inversion), 0.5 * sine
 
 
 def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
@@ -433,16 +433,16 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     Spectral route (``_spectral_sums``), taken when T is a uniform 1-D grid
     with a nonzero step (``np.linspace`` output or a run of its points) of
     at least ``SPECTRAL_MIN_TIMES`` times and ``SPECTRAL_MIN_PHASES`` phases
-    T.size * basis.  It forms every phase and node exactly, so from T[0]
-    each entry changes to within ``SPECTRAL_TOL`` of the exact sums' change
-    at any grid length while T*sqrt(n_max+1) stays below 1e9; at T[0], its
-    one anchor, it equals the direct route.  It sums the grid as one block by
-    two transforms, the population inversion and the coherence, with working
-    memory of about 200 B a time.  Any other T takes the direct route.
+    T.size * basis.  It forms every phase and node exactly, so each entry
+    lies within ``SPECTRAL_TOL`` of the exact sums at any grid length while
+    T*sqrt(n_max+1) stays below 1e9; a grid starting at T = 0 gets there the
+    exact initial state, the direct route's bits.  It sums the grid as one
+    block by two transforms, the population inversion and the coherence, with
+    working memory of about 200 B a time.  Any other T takes the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
-    phase's ulp is 2 radians and the direct sums (the spectral route's
-    anchor included) keep no digit, is refused with a DomainError.
+    phase's ulp is 2 radians and the direct sums keep no digit, is refused
+    with a DomainError on either route, whatever grid it arrives in.
     """
     T = np.asarray(T, dtype=float)
     _require_finite("T", T)

@@ -18,7 +18,7 @@ ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
 _NAMED = (DomainError, PrecisionLossError)  # the errors _on_grid places on the grid
 # Grid points per run of a sweep.  A run's temporaries, the spectral route's
-# included (about 220 B a time), grow with this, not with the grid.
+# included (about 200 B a time), grow with this, not with the grid.
 RUN_POINTS = 2 ** 12
 
 

@@ -444,7 +444,7 @@ def revival_grid(alpha_mag, revivals, t_steps):
 @pytest.fixture(scope="module")
 def revivals_alpha1000():
     """|alpha| = 1000 out to three revivals, 1000 times: one spectral block
-    anchored at T = 0, where the direct sums are exact."""
+    from T = 0, where it gives the exact initial state."""
     amps = coherent_amplitudes(1000.0, 0.7, 1e-12)
     T = revival_grid(1000.0, 3.0, 1000)
     with mpmath.workdps(40):
@@ -470,13 +470,12 @@ class TestSpectralRoute:
         return calls
 
     @staticmethod
-    def assert_change_within_tol(rho, j, refs):
-        """The change of each entry from T[0] (the block anchor) to T[j]
-        matches mpmath's within SPECTRAL_TOL."""
-        (ee0, gg0, eg0), (ee, gg, eg) = refs
-        assert abs((rho.rho_ee[j] - rho.rho_ee[0]) - (ee - ee0)) <= SPECTRAL_TOL
-        assert abs((rho.rho_gg[j] - rho.rho_gg[0]) - (gg - gg0)) <= SPECTRAL_TOL
-        assert abs((rho.rho_eg[j] - rho.rho_eg[0]) - (eg - eg0)) <= SPECTRAL_TOL
+    def assert_within_tol(rho, j, ref):
+        """Each entry at T[j] matches mpmath's ``ref`` within SPECTRAL_TOL."""
+        ee, gg, eg = ref
+        assert abs(rho.rho_ee[j] - ee) <= SPECTRAL_TOL
+        assert abs(rho.rho_gg[j] - gg) <= SPECTRAL_TOL
+        assert abs(rho.rho_eg[j] - eg) <= SPECTRAL_TOL
 
     @pytest.mark.parametrize("alpha_mag", [30.0, 300.0])
     def test_against_mpmath(self, alpha_mag, spectral_calls):
@@ -486,21 +485,38 @@ class TestSpectralRoute:
         assert spectral_calls == [T.size]
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
-        ref0 = mp_density(amps, T[0], roots)
         for j in (250, 600, 999):  # 0.75, 1.8 and 3 revival times
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_against_mpmath_past_a_sweeps_run(self, spectral_calls):
-        # 12000 times, three sweep runs long, take no anchor past T[0]
+        # 12000 times, three sweep runs long, as one block
         amps = coherent_amplitudes(300.0, 0.7, 1e-12)
         T = revival_grid(300.0, 3.0, 12000)
         rho = reduced_density(amps, T)
         assert spectral_calls == [T.size]
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
-        ref0 = mp_density(amps, T[0], roots)
         for j in (4095, 4096, 4097, T.size // 2, T.size - 1):
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
+
+    @pytest.mark.parametrize("alpha_mag, t_start, t_end", [
+        (300.0, 0.0, 3.0 * 2.0 * math.pi * 300.0),  # three revival times
+        (30.0, 1e6, 1e6 + 300.0),
+    ], ids=["revivals-a300", "long-times-a30"])
+    def test_sweeps_against_mpmath_past_their_first_run(self, alpha_mag, t_start, t_end):
+        # each of run_sweep's runs is a block of its own, which starts past
+        # T = 0 from the second on: a Bloch component is twice an entry
+        config = SimulationConfig(alpha_mag=alpha_mag, alpha_phase=0.7,
+                                  t_start=t_start, t_end=t_end, t_steps=12000)
+        result = run_sweep(config)
+        amps = coherent_amplitudes(alpha_mag, 0.7, config.fock_tail_tol)
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        T = result.data["t"]
+        for j in (0, 4095, 4096, 4097, 8191, 8192, T.size // 2, T.size - 1):
+            ee, gg, eg = mp_density(amps, T[j], roots)
+            for name, exact in (("sx", 2 * eg.real), ("sy", 2 * eg.imag), ("sz", ee - gg)):
+                assert abs(result.data[name][j] - exact) <= 2 * SPECTRAL_TOL, (name, j)
 
     def test_against_mpmath_on_a_long_grid(self, spectral_calls):
         # 100000 times: mode indices reach 50000, and each multiplies the
@@ -511,9 +527,8 @@ class TestSpectralRoute:
         assert spectral_calls == [T.size]
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
-        ref0 = mp_density(amps, T[0], roots)
         for j in np.linspace(1, T.size - 1, 9).astype(int).tolist():
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_against_mpmath_at_long_times(self, spectral_calls):
         # T near 1e6, T*sqrt(n_max+1) = 3.5e7: a grid time is off the
@@ -524,9 +539,8 @@ class TestSpectralRoute:
         assert spectral_calls == [T.size]
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
-        ref0 = mp_density(amps, T[0], roots)
-        for j in (1, 333, 998, 999):
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+        for j in (0, 1, 333, 998, 999):
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_against_mpmath_at_a_grids_ends(self, spectral_calls):
         # the collapse-a30 grid starts past T = 0: its first and last times,
@@ -537,9 +551,8 @@ class TestSpectralRoute:
         assert spectral_calls == [T.size]
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
-        ref0 = mp_density(amps, T[0], roots)
-        for j in (1, 2, T.size // 2, T.size - 3, T.size - 2, T.size - 1):
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+        for j in (0, 1, 2, T.size // 2, T.size - 3, T.size - 2, T.size - 1):
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_two_transforms(self, monkeypatch, spectral_calls):
         # one inverse FFT for the population inversion, one for the coherence
@@ -555,11 +568,20 @@ class TestSpectralRoute:
         assert spectral_calls == [4000]
         assert len(transforms) == 2
 
+    def test_takes_no_direct_sums(self, monkeypatch, spectral_calls):
+        # the direct route is the spectral route's oracle, not a part of it
+        calls = []
+        direct = dynamics._direct_sums
+        monkeypatch.setattr(dynamics, "_direct_sums",
+                            lambda *args: calls.append(args[-1].size) or direct(*args))
+        reduced_density(coherent_amplitudes(30.0, 0.7, 1e-12), np.linspace(3.0, 33.0, 4000))
+        assert spectral_calls == [4000]
+        assert calls == []
+
     def test_against_mpmath_alpha1000(self, revivals_alpha1000):
         amps, T, roots, rho = revivals_alpha1000
-        ref0 = mp_density(amps, T[0], roots)
         for j in (250, 999):
-            self.assert_change_within_tol(rho, j, (ref0, mp_density(amps, T[j], roots)))
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_spread_from_direct_is_the_direct_routes_error(self, revivals_alpha1000):
         # The direct sums round each phase T*sqrt(n+1), about 1.9e7 rad at
@@ -634,7 +656,8 @@ class TestSpectralRoute:
             assert np.array_equal(got, want)
 
     def test_phase_digit_limit_on_a_grid(self, spectral_calls):
-        # the spectral route's anchors are direct sums: refused with them
+        # refused on every route, so that whether a T is accepted does not
+        # depend on the grid it arrives in
         amps = coherent_amplitudes(7.0, 0.0, 1e-12)
         below, above = phase_digit_limit(amps)
         rho = reduced_density(amps, np.linspace(below - 999.0, below, 1000))

@@ -107,7 +107,7 @@ class TestColumnarResult:
                             lambda amps, T: calls.append(np.size(T)) or real(amps, T))
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
-        # a sweep's runs are the spectral route's blocks, so each has one anchor
+        # a sweep's runs are the spectral route's blocks, each summed on its own
         block = sweep.RUN_POINTS
         calls.clear()
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=2 * block + 1))

@@ -5,27 +5,28 @@
 Each tree is a checkout of this repository (its ``src/`` is put on
 ``PYTHONPATH``).  The CLI runs on a fixed list of configurations for both
 trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
-|alpha| = 200 out to 1.1 revival times (a large basis on the spectral
-route of ``reduced_density``), a one-point grid, a grid one point longer
-than a sweep's run (its last run is one point, on the direct route), a
-grid starting next to the pure state (as CSV, and as JSON, whose small
-``t`` print in exponent notation), the oracle column as CSV and JSON, and
-|alpha| = 30 at ``--fock-tol 1e-40``, the one config whose Fock window the
-tail bound widens past the ``10|alpha| + 20`` floor (every other runs at the
-default 1e-12, where the floor decides), and |alpha| = 1e-150 from a negative
-integral ``t`` as CSV and JSON, whose text takes layouts no other config
-reaches: three exponent digits (``sy`` about 1.7e-150), ``-0`` and ``-0.0``,
-and ``-2`` and ``-2.0``.  For each column the
-worst absolute difference and the worst difference in units in the last
-place are printed, with the config and eta where the ulp worst occurs.  An
-ulp is that of the column's scale in the config, its largest finite |value|
-in either tree, so a value that crosses zero counts by its size.  The worst
-ulp over the rows with eta <= 0.99 alone is printed too (above it the
-Wehrl closed form and the normalized columns are steep in eta).  A line
-per config says whether the two outputs are byte-identical, which the
-value diff cannot see (a change of formatting alone reads 0 there).  The
-exit status is 1 when the runs differ in header, row count, exit code or
-error text, and 0 otherwise, whatever the values and bytes.
+|alpha| = 200 out to 1.1 revival times (a large basis on the spectral route
+of ``reduced_density``), |alpha| = 300 out to three revival times on 12000
+points (a large basis past a sweep's first run), a one-point grid, a grid
+one point longer than a sweep's run (its last run is one point, on the
+direct route), a grid starting next to the pure state (as CSV, and as JSON,
+whose small ``t`` print in exponent notation), the oracle column as CSV and
+JSON, and |alpha| = 30 at ``--fock-tol 1e-40``, the one config whose Fock
+window the tail bound widens past the ``10|alpha| + 20`` floor (every other
+runs at the default 1e-12, where the floor decides), and |alpha| = 1e-150
+from a negative integral ``t`` as CSV and JSON, whose text takes layouts no
+other config reaches: three exponent digits (``sy`` about 1.7e-150), ``-0``
+and ``-0.0``, and ``-2`` and ``-2.0``.  For each column the worst absolute
+difference and the worst difference in units in the last place are printed,
+with the config and eta where the ulp worst occurs.  An ulp is that of the
+column's scale in the config, its largest finite |value| in either tree, so
+a value that crosses zero counts by its size.  The worst ulp over the rows
+with eta <= 0.99 alone is printed too (above it the Wehrl closed form and
+the normalized columns are steep in eta).  A line per config says whether
+the two outputs are byte-identical, which the value diff cannot see (a
+change of formatting alone reads 0 there).  The exit status is 1 when the
+runs differ in header, row count, exit code or error text, and 0 otherwise,
+whatever the values and bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ CONFIGS = {
     "alpha-45": ["--alpha-mag", "45", "--t-end", "300", "--t-steps", "1000"],
     "alpha-200": ["--alpha-mag", "200", "--t-end", repr(1.1 * 2 * math.pi * 200),
                   "--t-steps", "20000"],
+    "revivals-a300": ["--alpha-mag", "300", "--t-end", repr(3 * 2 * math.pi * 300),
+                      "--t-steps", "12000"],
     "one-point": ["--alpha-mag", "2", "--t-start", "1.5", "--t-end", "1.5",
                   "--t-steps", "1"],
     "run-boundary": ["--alpha-mag", "30", "--t-end", "60", "--t-steps", "4097"],

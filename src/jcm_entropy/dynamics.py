@@ -243,18 +243,14 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
 # so the working memory does not grow with the grid length.
 CHUNK_ELEMENTS = 2 ** 13
 
-# The spectral route of reduced_density.  It is taken on a uniform grid of
-# at least SPECTRAL_MIN_TIMES times and SPECTRAL_MIN_PHASES Rabi phases
-# (times x basis terms), for a basis of more than one term (every |alpha| > 0
-# keeps at least 21).  The time count is the large-basis crossover: at
-# |alpha| = 60 the route is slower at 80 and 100 times, faster at 127.  The
-# phase count, about 6x the small-basis crossover (160 times at |alpha| = 7),
-# keeps short small-basis grids on the direct route, bit for bit a scalar
-# call's values, as TestPointwiseParity and seven golden configs expect.
-# It sums the grid as one block, each entry within SPECTRAL_TOL of the exact
-# sums at every time; a grid starting at T = 0 gets the exact initial state.
+# The spectral route of reduced_density.  It is taken on every uniform grid
+# of at least SPECTRAL_MIN_TIMES times, for a basis of more than one term
+# (every |alpha| > 0 keeps at least 21).  That count is the large-basis
+# crossover: at |alpha| = 60 the route is slower at 80 and 100 times, faster
+# at 127.  It sums the grid as one block, each entry within SPECTRAL_TOL of
+# the exact sums at every time; a grid starting at T = 0 gets the exact
+# initial state.
 SPECTRAL_MIN_TIMES = 2 ** 7
-SPECTRAL_MIN_PHASES = 2 ** 17
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # a uniform grid lies within this of T[0] + j*h
 # a phase's ulp is 2 radians or more from here on; the limit also keeps the
@@ -430,15 +426,16 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     sqrt(n+1) adds about as much), so its sums drift from the exact ones as
     T grows: by up to 4e-11 at |alpha| = 1000, T = 3 revival times.
 
-    Spectral route (``_spectral_sums``), taken when T is a uniform 1-D grid
+    Spectral route (``_spectral_sums``), taken on every uniform 1-D grid
     with a nonzero step (``np.linspace`` output or a run of its points) of
-    at least ``SPECTRAL_MIN_TIMES`` times and ``SPECTRAL_MIN_PHASES`` phases
-    T.size * basis.  It forms every phase and node exactly, so each entry
-    lies within ``SPECTRAL_TOL`` of the exact sums at any grid length while
+    at least ``SPECTRAL_MIN_TIMES`` times, on a basis of more than one
+    term.  It forms every phase and node exactly, so each entry lies within
+    ``SPECTRAL_TOL`` of the exact sums at any grid length while
     T*sqrt(n_max+1) stays below 1e9; a grid starting at T = 0 gets there the
     exact initial state, the direct route's bits.  It sums the grid as one
-    block by two transforms, the population inversion and the coherence, with
-    working memory of about 200 B a time.  Any other T takes the direct route.
+    block by two transforms, the population inversion and the coherence,
+    with working memory of about 200 B a time.  Scalars, non-uniform arrays,
+    shorter grids, grids with equal ends and the vacuum take the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums keep no digit, is refused
@@ -465,8 +462,7 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     p = w * w
     q = w[1:] * w[:-1]
     h = None
-    if (w.size > 1 and T.size >= SPECTRAL_MIN_TIMES
-            and T.size * w.size >= SPECTRAL_MIN_PHASES):
+    if w.size > 1 and T.size >= SPECTRAL_MIN_TIMES:
         h = _grid_step(T)
     if h is None:
         rho_ee, rho_gg, coh = _direct_sums(p, q, root, T.reshape(-1))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass
 
@@ -136,6 +135,8 @@ def _render_structured(result: SweepResult) -> list[bytes]:
     ends are then replaced by the indented separators, and the last row's
     by the payload's closing lines.
     """
+    import json  # loaded only when a sweep is rendered as JSON
+
     from . import _g17
 
     value_sep, row_sep = b",\n      ", b"\n    ],\n    [\n      "

@@ -277,12 +277,14 @@ def test_cli_import_leaves_scipy_unloaded():
                          ids=["oracle-json", "csv"])
 def test_cli_run_leaves_numpy_ma_and_polynomial_unloaded(extra, tmp_path):
     # a one-shot run pays for every module it loads: numpy.ma (np.unique
-    # loads it) and numpy.polynomial (leggauss) are on no path of main()
+    # loads it) and numpy.polynomial (leggauss) are on no path of main(),
+    # and json is on the structured output's path alone
     args = ["--alpha-mag", "7", "--t-end", "30", "--t-steps", "200", *extra,
             "--output", str(tmp_path / "out")]
     added = _loaded(f"from jcm_entropy.cli import main; assert main({args!r}) == 0; ")
     packages = {".".join(m.split(".")[:2]) for m in added}
     assert sorted(packages & {"numpy.ma", "numpy.polynomial"}) == []
+    assert ("json" in added) == ("structured" in extra)
 
 
 class TestEntry:

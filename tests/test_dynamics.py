@@ -20,11 +20,7 @@ from jcm_entropy import (
     run_sweep,
 )
 from jcm_entropy import dynamics
-from jcm_entropy.dynamics import (
-    SPECTRAL_MIN_PHASES,
-    SPECTRAL_MIN_TIMES,
-    SPECTRAL_TOL,
-)
+from jcm_entropy.dynamics import SPECTRAL_MIN_TIMES, SPECTRAL_TOL
 from oracles import trig_power_integral, wehrl_entropy_triple_sum
 
 
@@ -554,6 +550,32 @@ class TestSpectralRoute:
         for j in (0, 1, 2, T.size // 2, T.size - 3, T.size - 2, T.size - 1):
             self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
+    @pytest.mark.parametrize("alpha_mag, t_start, t_end, t_steps", [
+        (3.0, 1e4, 1e4 + 20.0, 300),
+        (7.0, 1e5, 1e5 + 30.0, 500),
+    ], ids=["a3-near-1e4", "a7-near-1e5"])
+    def test_short_small_basis_grids_at_long_times(self, alpha_mag, t_start, t_end,
+                                                   t_steps, spectral_calls):
+        # a few hundred times on 60 and 140 terms: the direct sums drift
+        # there, 7.1e-13 and 1.2e-11 off, so such grids are spectral too
+        config = SimulationConfig(alpha_mag=alpha_mag, alpha_phase=0.7, t_start=t_start,
+                                  t_end=t_end, t_steps=t_steps)
+        amps = coherent_amplitudes(alpha_mag, 0.7, config.fock_tail_tol)
+        T = np.linspace(t_start, t_end, t_steps)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [t_steps]
+        spectral_calls.clear()
+        result = run_sweep(config)
+        assert spectral_calls == [t_steps]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        for j in (0, 1, T.size // 2, T.size - 2, T.size - 1):
+            ee, gg, eg = mp_density(amps, T[j], roots)
+            self.assert_within_tol(rho, j, (ee, gg, eg))
+            # a Bloch component is twice an entry
+            for name, exact in (("sx", 2 * eg.real), ("sy", 2 * eg.imag), ("sz", ee - gg)):
+                assert abs(result.data[name][j] - exact) <= 2 * SPECTRAL_TOL, (name, j)
+
     def test_two_transforms(self, monkeypatch, spectral_calls):
         # one inverse FFT for the population inversion, one for the coherence
         transforms = []
@@ -599,11 +621,9 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("alpha_mag", [7.0, 30.0, 60.0])
     def test_about_the_crossover(self, alpha_mag, spectral_calls):
-        # 140 and 641 terms reach the crossover on its phase count, 1241 on
-        # its time count
+        # the grid length alone sets the route, whatever the basis size
         amps = coherent_amplitudes(alpha_mag, 0.3, 1e-12)
-        terms = amps.weights.size
-        first = max(SPECTRAL_MIN_TIMES, -(-SPECTRAL_MIN_PHASES // terms))
+        first = SPECTRAL_MIN_TIMES
         below = np.linspace(3.0, 33.0, first - 1)
         rho = reduced_density(amps, below)
         assert spectral_calls == []
@@ -649,7 +669,7 @@ class TestSpectralRoute:
     ], ids=["constant", "two-points", "geometric", "one-point-moved"])
     def test_degenerate_grids_take_the_direct_route(self, T, spectral_calls):
         amps = coherent_amplitudes(30.0, 0.0, 1e-12)
-        assert T.size * amps.weights.size >= SPECTRAL_MIN_PHASES or T.size == 2
+        assert T.size >= SPECTRAL_MIN_TIMES or T.size == 2
         rho = reduced_density(amps, T)
         assert spectral_calls == []
         for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), pointwise_density(amps, T)):

@@ -33,3 +33,11 @@ def test_byte_check_sees_a_formatting_change():
     assert golden_diff.byte_check(old, old) == "byte-identical"
     assert golden_diff.byte_check(old, new) == \
         "bytes differ: 1 of 4 lines, the first at line 3, sizes 14 -> 16"
+
+
+def test_column_worst_names_the_row_of_the_worst_ulp():
+    old = np.array([1.0, 0.5, 0.25, 0.125])
+    new = old + np.array([0.0, 4.0, 1.0, 3.0]) * np.spacing(1.0)
+    eta = np.array([0.5, 0.999, 0.2, 0.9])
+    worst = golden_diff.column_worst(*golden_diff.differences(old, new), eta)
+    assert worst == {"abs": 4 * np.spacing(1.0), "ulp": 4.0, "row": 1, "low": 3.0}

@@ -74,14 +74,23 @@ class TestPointwiseParity:
         assert 1 < chunk < 100 and 100 % chunk
         assert_matches_pointwise(config)
 
-    def test_short_small_basis_grid_stays_direct(self):
-        # enough times for the spectral route, but too few phases, so the
-        # sweep takes the direct route and each row is the scalar call's
+    def test_short_small_basis_grid_takes_the_spectral_route(self, monkeypatch):
+        # enough times for the spectral route on any basis: each Bloch
+        # component, twice an entry, is within twice its tolerance of the
+        # scalar calls' direct sums
+        calls = []
+        real = dynamics._spectral_sums
+        monkeypatch.setattr(dynamics, "_spectral_sums",
+                            lambda *args: calls.append(args[-2].size) or real(*args))
         config = SimulationConfig(alpha_mag=3.0, alpha_phase=0.4, t_end=20.0, t_steps=300)
-        basis = coherent_amplitudes(3.0, 0.4, 1e-12).coefficients.size
         assert 300 >= dynamics.SPECTRAL_MIN_TIMES
-        assert 300 * basis < dynamics.SPECTRAL_MIN_PHASES
-        assert_matches_pointwise(config)
+        result = run_sweep(config)
+        assert calls == [300]
+        expected = pointwise_sweep(config)
+        assert np.array_equal(result.data["t"], expected["t"])
+        for name in ("sx", "sy", "sz", "eta"):
+            spread = np.abs(result.data[name] - expected[name]).max()
+            assert spread <= 2 * dynamics.SPECTRAL_TOL, (name, spread)
 
     def test_single_point(self):
         config = SimulationConfig(alpha_mag=2.0, t_start=1.5, t_end=1.5, t_steps=1)
@@ -182,10 +191,13 @@ class TestErrorContract:
             return AtomicDensityMatrix(rho.rho_ee + excess, rho.rho_gg, rho.rho_eg)
 
         monkeypatch.setattr(dynamics, "reduced_density", leaky)
-        config = SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=501)
-        t = np.linspace(0.0, 5.0, 501)
+        # 100 times, too few for the spectral route: the direct route's
+        # chunks of 12 times at |alpha| = 30
+        config = SimulationConfig(alpha_mag=30.0, t_end=5.0, t_steps=100)
+        t = np.linspace(0.0, 5.0, 100)
+        assert t.size < dynamics.SPECTRAL_MIN_TIMES
         index = np.flatnonzero(t >= 2.0)[0]
-        step = CHUNK_ELEMENTS // coherent_amplitudes(2.0, 0.0, 1e-12).coefficients.size
+        step = CHUNK_ELEMENTS // coherent_amplitudes(30.0, 0.0, 1e-12).coefficients.size
         assert index > step and index % step  # inside a chunk, not the first one
         message = f"at T = {t[index].item()!r}: trace violation"
         with pytest.raises(DomainError, match="^" + re.escape(message)):

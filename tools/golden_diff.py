@@ -24,9 +24,11 @@ a value that crosses zero counts by its size.  The worst ulp over the rows
 with eta <= 0.99 alone is printed too (above it the Wehrl closed form and
 the normalized columns are steep in eta).  A line per config says whether
 the two outputs are byte-identical, which the value diff cannot see (a
-change of formatting alone reads 0 there).  The exit status is 1 when the
-runs differ in header, row count, exit code or error text, and 0 otherwise,
-whatever the values and bytes.
+change of formatting alone reads 0 there); under a config whose values
+moved, a line per moved column gives that config's worst absolute
+difference, worst ulp and the row of the worst ulp.  The exit status is 1
+when the runs differ in header, row count, exit code or error text, and 0
+otherwise, whatever the values and bytes.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def differences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return absolute, absolute / scale
 
 
+def column_worst(absolute: np.ndarray, ulp: np.ndarray, eta: np.ndarray) -> dict:
+    """A column's worst absolute difference, its worst ulp and that ulp's
+    row, and its worst ulp over the rows with eta <= ETA_SPLIT."""
+    row = int(np.argmax(ulp))
+    return {"abs": float(absolute.max()), "ulp": float(ulp[row]), "row": row,
+            "low": float(ulp[eta <= ETA_SPLIT].max(initial=0.0))}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old_tree", type=Path)
@@ -152,16 +162,19 @@ def main(argv=None) -> int:
             if old_cols != new_cols or old.shape != new.shape:
                 mismatches.append(f"{name}: columns or row count differ")
                 continue
+            eta = old[:, old_cols.index("eta")]
             for k, column in enumerate(old_cols):
-                absolute, ulp = differences(old[:, k], new[:, k])
-                eta = old[:, old_cols.index("eta")]
-                i = int(np.argmax(ulp))
+                c = column_worst(*differences(old[:, k], new[:, k]), eta)
+                if c["abs"]:  # NaN, where one side alone is NaN, counts as moved
+                    print(f"  {column}: worst abs {c['abs']:.3g}, "
+                          f"worst ulp {c['ulp']:.4g} at row {c['row']}")
                 w = worst.setdefault(column, {"abs": 0.0, "ulp": 0.0, "low": 0.0,
                                               "where": ""})
-                w["abs"] = max(w["abs"], float(absolute.max()))
-                w["low"] = max(w["low"], float(ulp[eta <= ETA_SPLIT].max(initial=0.0)))
-                if ulp[i] > w["ulp"]:
-                    w.update(ulp=float(ulp[i]), where=f"{name}, row {i}, eta {eta[i]:.17g}")
+                w["abs"] = max(w["abs"], c["abs"])
+                w["low"] = max(w["low"], c["low"])
+                if c["ulp"] > w["ulp"]:
+                    w.update(ulp=c["ulp"],
+                             where=f"{name}, row {c['row']}, eta {eta[c['row']]:.17g}")
 
     print(f"\n{'column':<18} {'worst abs':>11} {'worst ulp':>11} {'eta<=0.99':>11}"
           "  where (ulp)")

@@ -37,15 +37,18 @@ def _item(value):
     return value if np.ndim(value) else np.asarray(value).item()
 
 
-def _first(values, bad):
-    """The first of ``values`` where ``bad`` holds, as a Python scalar."""
-    return np.asarray(values)[bad][0].item()
+def _refuse(bad, message, *values) -> None:
+    """Where ``bad`` holds anywhere, raise ``DomainError(message(*entries))``
+    with ``index`` i, the flat position of the first such entry, and
+    ``entries`` those of ``values`` at i, as Python scalars."""
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise DomainError(message(*(np.asarray(v).flat[i].item() for v in values)),
+                          index=i)
 
 
 def _require_finite(name: str, value) -> None:
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        raise DomainError(f"{name} must be finite, got {_first(value, bad)!r}")
+    _refuse(~np.isfinite(value), lambda x: f"{name} must be finite, got {x!r}", value)
 
 
 def _check_tolerance(name: str, tol) -> None:
@@ -144,11 +147,11 @@ class AtomicDensityMatrix:
     def __post_init__(self):
         # the comparisons are negated so that a NaN fails them
         trace = self.rho_ee + self.rho_gg
-        bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
-        if np.any(bad):
-            raise DomainError(f"trace violation: rho_ee + rho_gg = {_first(trace, bad)!r}")
-        if not np.all(self.rho_ee * self.rho_gg - np.abs(self.rho_eg) ** 2 >= -TRACE_TOL):
-            raise DomainError("density matrix is not positive semidefinite")
+        _refuse(~(np.abs(trace - 1.0) <= TRACE_TOL),
+                lambda x: f"trace violation: rho_ee + rho_gg = {x!r}", trace)
+        det = self.rho_ee * self.rho_gg - np.abs(self.rho_eg) ** 2
+        _refuse(~(det >= -TRACE_TOL), lambda x: "density matrix is not positive "
+                f"semidefinite: rho_ee*rho_gg - |rho_eg|^2 = {x!r}", det)
 
 
 @dataclass(frozen=True)
@@ -448,17 +451,12 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     root = np.sqrt(n1)
     with np.errstate(over="ignore"):
         phase = np.abs(T) * root[-1]
-    bad = ~np.isfinite(phase)
-    if np.any(bad):
-        raise DomainError(f"Rabi phase T*sqrt(n+1) overflows for T = {_first(T, bad)!r}, "
-                          f"n = {amps.n_max}")
-    bad = phase >= _PHASE_LIMIT
-    if np.any(bad):
-        worst = _first(phase, bad)
-        raise DomainError(
-            f"Rabi phase T*sqrt(n+1) = {worst!r} for T = {_first(T, bad)!r}, "
-            f"n = {amps.n_max} has an ulp of {math.ulp(worst)!r}: its cosine and sine "
-            f"keep no digit (refused from 2**53 on)")
+    _refuse(~np.isfinite(phase), lambda t: "Rabi phase T*sqrt(n+1) overflows for "
+            f"T = {t!r}, n = {amps.n_max}", T)
+    _refuse(phase >= _PHASE_LIMIT, lambda worst, t: (
+        f"Rabi phase T*sqrt(n+1) = {worst!r} for T = {t!r}, "
+        f"n = {amps.n_max} has an ulp of {math.ulp(worst)!r}: its cosine and sine "
+        f"keep no digit (refused from 2**53 on)"), phase, T)
     p = w * w
     q = w[1:] * w[:-1]
     h = None
@@ -482,9 +480,7 @@ def bloch_vector(rho: AtomicDensityMatrix) -> BlochVector:
     sx = 2.0 * rho.rho_eg.real
     sy = 2.0 * rho.rho_eg.imag
     eta = np.sqrt(sx * sx + sy * sy + sz * sz)
-    bad = ~(eta <= 1.0 + ETA_TOL)  # NaN included
-    if np.any(bad):
-        raise DomainError(
-            f"Bloch radius {_first(eta, bad)!r} is not within 1: invalid density matrix")
+    _refuse(~(eta <= 1.0 + ETA_TOL),  # NaN included
+            lambda x: f"Bloch radius {x!r} is not within 1: invalid density matrix", eta)
     eta = np.minimum(eta, 1.0)  # within tolerance of the sphere: clamp
     return BlochVector(_item(sx), _item(sy), _item(sz), _item(eta))

@@ -20,8 +20,9 @@ import math
 
 import numpy as np
 
-from .dynamics import ETA_TOL, SERIES_TOL, _check_tolerance, _first, _item
-from .errors import DomainError, PrecisionLossError
+from .dynamics import (ETA_TOL, SERIES_TOL, _check_tolerance, _item, _refuse,
+                       _require_finite)
+from .errors import PrecisionLossError
 
 LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)
@@ -37,12 +38,9 @@ _HALVINGS = 6
 def _check_eta(eta) -> np.ndarray:
     """eta as a float64 array (0-d for a scalar), checked and clamped to 1."""
     eta = np.array(eta, dtype=float)
-    bad = ~np.isfinite(eta)
-    if bad.any():
-        raise DomainError(f"eta must be finite, got {_first(eta, bad)!r}")
-    bad = (eta < 0.0) | (eta > 1.0 + ETA_TOL)
-    if bad.any():
-        raise DomainError(f"eta = {_first(eta, bad)!r} outside [0, 1]")
+    _require_finite("eta", eta)
+    _refuse((eta < 0.0) | (eta > 1.0 + ETA_TOL),
+            lambda x: f"eta = {x!r} outside [0, 1]", eta)
     return np.minimum(eta, 1.0, out=eta)
 
 
@@ -105,9 +103,10 @@ def _sum_series(eta, power: int, series_tol: float) -> np.ndarray:
         idx, q, c, acc, last = (v[~done] for v in (idx, q, c, acc, value))
         if not idx.size:
             return out.reshape(eta.shape)
+    i = int(idx[0])
     raise PrecisionLossError(
         f"series has not met series_tol = {series_tol!r} after {_HALVINGS} "
-        f"halvings of the step at eta = {eta.flat[idx[0]].item()!r}")
+        f"halvings of the step at eta = {eta.flat[i].item()!r}", index=i)
 
 
 def von_neumann_series(eta, series_tol: float = SERIES_TOL):

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector, _check_quad_orders, _item
+from .dynamics import BlochVector, _check_quad_orders, _item, _refuse
 from .entropies import _xlogx
 from .errors import DomainError
 
@@ -155,9 +155,11 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     shares: the calling thread takes the first, and each other share runs
     on a thread of its own, so a one-share call (a scalar, one to three
     blocks, a one-core host) starts none.  Those threads are joined before
-    the call returns or raises, and of the shares' errors the first in grid
-    order is raised.  A share does the same operations on blocks of the
-    same shape whatever the cut, so no value depends on it.
+    the call returns or raises, and the first failing share's error is
+    raised; its ``index`` counts from the call's first point, the share's
+    offset and the block's added, so it is the first failing point of the
+    call.  A share does the same operations on blocks of the same shape
+    whatever the cut, so no value depends on it.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -180,7 +182,7 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     def share(k):
         lo, hi = cuts[k], cuts[k + 1]
         try:
-            _integrate_share(coords[lo:hi], out[lo:hi], quad, rows)
+            _integrate_share(coords[lo:hi], out[lo:hi], quad, rows, lo)
         except Exception as exc:  # raised by the caller, in grid order
             errors[k] = exc
 
@@ -199,9 +201,11 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
 
 
 def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature,
-                     rows: int) -> None:
+                     rows: int, start: int) -> None:
     """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
-    whole number of blocks of ``rows`` points (none for an empty call).
+    whole number of blocks of ``rows`` points (none for an empty call), the
+    first being point ``start`` of the call, from which an error's ``index``
+    counts.
 
     Q and Q ln Q take buffers allocated once, with floating-point warnings
     off.  Q ln Q is taken as ``log(Q) * Q``, and each point's sum as one
@@ -226,17 +230,22 @@ def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature
         redo = np.flatnonzero(~np.isfinite(out).reshape(-1, rows).all(axis=1))
         for lo in (redo * rows).tolist():
             np.matmul(coords[lo:lo + rows], quad.basis, out=q)
-            np.matmul(_q_log_q(q).reshape(rows, 1, nodes), quad.weights,
+            try:
+                checked = _q_log_q(q)
+            except DomainError as exc:  # its index, if any, is a row of the block
+                if exc.index is not None:
+                    exc.index += start + lo
+                raise
+            np.matmul(checked.reshape(rows, 1, nodes), quad.weights,
                       out=out[lo:lo + rows].reshape(rows, 1))
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:
     """Q ln Q of a block, checked: a node with Q below Q_FLOOR raises, node
-    by node, so a NaN elsewhere in the block hides none; otherwise Q is
-    clamped at 0, with 0 ln 0 = 0."""
-    if (q < Q_FLOOR).any():
-        raise DomainError("negative Q density at a node: Bloch vector outside "
-                          "the unit ball")
+    by node, so a NaN elsewhere in the block hides none, with the first such
+    row as its index; otherwise Q is clamped at 0, with 0 ln 0 = 0."""
+    _refuse((q < Q_FLOOR).any(axis=1),
+            lambda: "negative Q density at a node: Bloch vector outside the unit ball")
     return _xlogx(np.maximum(q, 0.0))
 
 

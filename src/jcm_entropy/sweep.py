@@ -15,7 +15,6 @@ BASE_COLUMNS = ("t", "sx", "sy", "sz", "eta", "xi", "gamma",
 _AFTER_SERIES = BASE_COLUMNS.index("wehrl_series") + 1
 ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
-_NAMED = (DomainError, PrecisionLossError)  # the errors _on_grid places on the grid
 # Grid points per run of a sweep.  A run's temporaries, the spectral route's
 # included (about 200 B a time), grow with this, not with the grid.
 RUN_POINTS = 2 ** 12
@@ -31,35 +30,6 @@ class SweepResult:
     @property
     def columns(self) -> tuple[str, ...]:
         return tuple(self.data)
-
-
-def _on_grid(t: np.ndarray, fn):
-    """``fn(t)`` for the grid points ``t``; a DomainError or PrecisionLossError
-    names the first failing T, as ``at T = <t>: ...``, in an error of its type.
-
-    On failure the failing point is found by halving: ``fn`` runs on the
-    first half of the range that holds it, which holds it if that run
-    fails, and the second half if not; the point is then run alone for its
-    message.  If it passes alone, the original error is raised.
-    """
-    try:
-        return fn(t)
-    except _NAMED as exc:
-        error = exc
-    lo, hi = 0, t.size  # the first failing point lies in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            fn(t[lo:mid])
-        except _NAMED:
-            hi = mid
-        else:
-            lo = mid
-    try:
-        fn(t[lo:hi])
-    except _NAMED as exc:
-        raise type(exc)(f"at T = {t[lo].item()!r}: {exc}") from exc
-    raise error
 
 
 def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
@@ -79,8 +49,13 @@ def run_sweep(config: dynamics.SimulationConfig,
     ``RUN_POINTS`` points, so temporaries grow with that, not the grid; for
     each run the Bloch vector, the entropies and, when
     ``with_oracle`` is set, the slow spherical quadrature are each computed
-    at once, into columns allocated for the whole grid.  A DomainError or
-    PrecisionLossError names the first grid point at which any stage fails.
+    at once, into columns allocated for the whole grid.
+
+    No stage runs twice.  A DomainError or PrecisionLossError is raised
+    again, as an error of its type, as ``at T = <t>: <its message>``: <t>
+    is the grid point at its ``index``, the first failing entry of the
+    first check to fail, in the first run that fails.  Every value named
+    is the sweep's own.
     """
     amps = dynamics.coherent_amplitudes(
         config.alpha_mag, config.alpha_phase, config.fock_tail_tol)
@@ -94,7 +69,10 @@ def run_sweep(config: dynamics.SimulationConfig,
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
     for lo in range(0, t.size, RUN_POINTS):
         part = t[lo:lo + RUN_POINTS]
-        values = _on_grid(part, lambda T: _stages(T, amps, config, quad))
+        try:
+            values = _stages(part, amps, config, quad)
+        except (DomainError, PrecisionLossError) as exc:
+            raise type(exc)(f"at T = {part[exc.index].item()!r}: {exc}") from exc
         for name in columns[1:]:
             data[name][lo:lo + part.size] = values[name]
         del values  # before the next run of points is computed

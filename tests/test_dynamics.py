@@ -778,6 +778,12 @@ class TestBlochVector:
             AtomicDensityMatrix(nan, 0.5, 0j)
         with pytest.raises(DomainError, match="not positive semidefinite"):
             AtomicDensityMatrix(0.5, 0.5, complex(nan, 0.0))
+        # the first offending entry, named with its index
+        with pytest.raises(DomainError, match=re.escape(
+                "semidefinite: rho_ee*rho_gg - |rho_eg|^2 = -0.15999999999999998")) as raised:
+            AtomicDensityMatrix(np.array([0.5, 0.9, 0.9]), np.array([0.5, 0.1, 0.1]),
+                                np.array([0j, 0.5, 0.6]))
+        assert raised.value.index == 1
         with pytest.raises(DomainError, match="Bloch radius nan"):
             bloch_vector(types.SimpleNamespace(rho_ee=0.5, rho_gg=0.5,
                                                rho_eg=complex(nan, 0.0)))

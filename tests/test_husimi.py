@@ -348,6 +348,19 @@ class TestWorkers:
         assert threading.active_count() == before
         assert str(split.value) == str(alone.value)
 
+    def test_index_counts_from_the_first_point_of_the_call(self, usable_cores,
+                                                            started_threads):
+        # 10 blocks of 4 points; point 30 lies inside the block 28 to 31, the
+        # third of the second share, which holds 20 to 39
+        quad = SphereQuadrature(64, 128)
+        sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
+        sz[[30, 33, 37]] = 1.5
+        usable_cores(2)
+        with pytest.raises(DomainError) as raised:
+            wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
+        assert len(started_threads) == 1
+        assert raised.value.index == 30
+
     @pytest.mark.parametrize("bad,first_share", [([30], False), ([5, 30], True)])
     def test_first_error_in_grid_order_is_raised(self, monkeypatch, usable_cores,
                                                  started_threads, bad, first_share):

@@ -3,7 +3,6 @@ library's functions, its error contract and its working memory."""
 
 import dataclasses
 import json
-import math
 import re
 import threading
 import tracemalloc
@@ -14,6 +13,7 @@ import pytest
 from jcm_entropy import (
     AtomicDensityMatrix,
     DomainError,
+    PrecisionLossError,
     SimulationConfig,
     SweepResult,
     SphereQuadrature,
@@ -25,11 +25,11 @@ from jcm_entropy import (
     run_sweep,
     wehrl_entropy_quadrature,
 )
-from jcm_entropy import dynamics, husimi, sweep
+from jcm_entropy import dynamics, entropies, husimi, sweep
 from jcm_entropy.cli import main
 from jcm_entropy.dynamics import CHUNK_ELEMENTS
 from jcm_entropy.husimi import QUAD_ELEMENTS
-from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS, _on_grid
+from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 
 # columns that go through the same float operations in both orders
 EXACT = ("t", "sx", "sy", "sz", "eta", "xi", "wehrl_series")
@@ -181,14 +181,18 @@ class TestErrorContract:
         assert main(args) == 1
         assert "at T = 0.25: trace violation" in capsys.readouterr().err
 
-    def test_names_first_failing_point_inside_a_later_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("leak,check", [
+        # the trace, or the positive semidefiniteness, breaks from T = 2 on only
+        (lambda rho, excess: (rho.rho_ee + 1e-9 * excess, rho.rho_gg, rho.rho_eg),
+         "trace violation"),
+        (lambda rho, excess: (rho.rho_ee, rho.rho_gg, rho.rho_eg + 0.6 * excess),
+         "density matrix is not positive semidefinite")], ids=["trace", "psd"])
+    def test_names_first_failing_point_inside_a_later_chunk(self, monkeypatch, leak, check):
         real = dynamics.reduced_density
 
         def leaky(amps, T):
-            rho = real(amps, T)
-            # the trace breaks from T = 2 on only
-            excess = np.where(np.asarray(T) >= 2.0, 1e-9, 0.0)
-            return AtomicDensityMatrix(rho.rho_ee + excess, rho.rho_gg, rho.rho_eg)
+            excess = np.where(np.asarray(T) >= 2.0, 1.0, 0.0)
+            return AtomicDensityMatrix(*leak(real(amps, T), excess))
 
         monkeypatch.setattr(dynamics, "reduced_density", leaky)
         # 100 times, too few for the spectral route: the direct route's
@@ -199,46 +203,68 @@ class TestErrorContract:
         index = np.flatnonzero(t >= 2.0)[0]
         step = CHUNK_ELEMENTS // coherent_amplitudes(30.0, 0.0, 1e-12).coefficients.size
         assert index > step and index % step  # inside a chunk, not the first one
-        message = f"at T = {t[index].item()!r}: trace violation"
+        message = f"at T = {t[index].item()!r}: {check}"
         with pytest.raises(DomainError, match="^" + re.escape(message)):
             run_sweep(config)
 
-    def test_last_point_fault_found_by_halving(self, monkeypatch):
-        real = dynamics.reduced_density
-        t = np.linspace(0.0, 5.0, 1000)
-        calls = []
+    def test_names_the_sweeps_own_failing_point(self):
+        # the sweep's own eta first fails the Wehrl series at index 104; a
+        # one-point run of index 6 takes the direct route, whose eta there
+        # fails where the sweep's settles, and must not be named
+        config = SimulationConfig(alpha_mag=7.0, t_start=2.0, t_end=30.0, t_steps=2000,
+                                  series_tol=6e-16)
+        with pytest.raises(PrecisionLossError) as raised:
+            run_sweep(config)
+        message = str(raised.value)
+        assert message.startswith("at T = 3.456728364182091:"), message
+        assert message.endswith("at eta = 0.2457739797141691"), message
 
-        def leaky(amps, T):
-            calls.append(np.size(T))
-            rho = real(amps, T)
-            excess = np.where(np.asarray(T) == t[-1], 1e-9, 0.0)
-            return AtomicDensityMatrix(rho.rho_ee + excess, rho.rho_gg, rho.rho_eg)
+    def test_each_stage_runs_once_per_run(self, monkeypatch):
+        # the last stage fails at the last point, alone in the second run:
+        # every stage runs once in each run, the failing run included
+        t = np.linspace(0.0, 0.7, sweep.RUN_POINTS + 1)
+        real_density, real_bloch = dynamics.reduced_density, dynamics.bloch_vector
+        real_record, real_quadrature = entropies.entropy_record, husimi.wehrl_entropy_quadrature
+        calls, times = [], []
 
-        monkeypatch.setattr(dynamics, "reduced_density", leaky)
-        message = f"at T = {t[-1].item()!r}: trace violation"
+        def density(amps, T):
+            calls.append("reduced_density")
+            times.append(T)
+            return real_density(amps, T)
+
+        def stretched(rho):  # outside the ball at the last point, eta as it was
+            calls.append("bloch_vector")
+            b = real_bloch(rho)
+            scale = np.where(times[-1] == t[-1], 1.5, 1.0)
+            return dataclasses.replace(b, sx=b.sx * scale, sy=b.sy * scale,
+                                       sz=b.sz * scale)
+
+        def record(eta, series_tol):
+            calls.append("entropy_record")
+            return real_record(eta, series_tol)
+
+        def quadrature(b, quad):
+            calls.append("wehrl_entropy_quadrature")
+            return real_quadrature(b, quad)
+
+        monkeypatch.setattr(dynamics, "reduced_density", density)
+        monkeypatch.setattr(dynamics, "bloch_vector", stretched)
+        monkeypatch.setattr(entropies, "entropy_record", record)
+        monkeypatch.setattr(husimi, "wehrl_entropy_quadrature", quadrature)
+        config = SimulationConfig(alpha_mag=7.0, t_end=0.7, t_steps=t.size,
+                                  quad_theta_order=16, quad_phi_order=32)
+        message = f"at T = {t[-1].item()!r}: negative Q density"
         with pytest.raises(DomainError, match="^" + re.escape(message)):
-            run_sweep(SimulationConfig(alpha_mag=2.0, t_end=5.0, t_steps=t.size))
-        assert len(calls) <= 2 * math.ceil(math.log2(t.size)) + 2
-        assert sum(calls) <= 2 * t.size + len(calls)
-
-    def test_fault_of_no_single_point_reraised(self):
-        t = np.linspace(0.0, 1.0, 9)
-
-        def stage(T):
-            if T.size > 3:
-                raise DomainError("too many points")
-            return T
-
-        with pytest.raises(DomainError, match="^too many points$"):
-            _on_grid(t, stage)
+            run_sweep(config, with_oracle=True)
+        assert calls == 2 * ["reduced_density", "bloch_vector", "entropy_record",
+                             "wehrl_entropy_quadrature"]
 
     @pytest.fixture
     def outside_ball(self, monkeypatch):
         """Bloch components stretched by 1.5 from grid point 70 on (of 101).
 
         eta is left as it is, so only the quadrature sees the fault.  The
-        stretch is keyed on T, since the search for the failing point
-        re-runs the stages on sub-ranges of the grid.
+        stretch is keyed on T, each run of the sweep passing its own times.
         """
         real_density, real_bloch = dynamics.reduced_density, dynamics.bloch_vector
         first_bad = np.linspace(0.0, 1.0, 101)[70]

@@ -16,8 +16,14 @@ window the tail bound widens past the ``10|alpha| + 20`` floor (every other
 runs at the default 1e-12, where the floor decides), and |alpha| = 1e-150
 from a negative integral ``t`` as CSV and JSON, whose text takes layouts no
 other config reaches: three exponent digits (``sy`` about 1.7e-150), ``-0``
-and ``-0.0``, and ``-2`` and ``-2.0``.  For each column the worst absolute
-difference and the worst difference in units in the last place are printed,
+and ``-0.0``, and ``-2`` and ``-2.0``.  Three configs exit 1, so that
+their exit codes and error text are compared: ``term-cap``, a series
+tolerance that the eta = 1 row cannot meet; ``phase-limit``, Rabi phases
+past 2**53; and ``series-index``, |alpha| = 7 on 2000 points at
+``--series-tol 6e-16``, whose first failing point lies inside a spectral
+grid, where the message must name the sweep's own T and eta.  For each
+column the worst absolute difference and the worst difference in units in
+the last place are printed,
 with the config and eta where the ulp worst occurs.  An ulp is that of the
 column's scale in the config, its largest finite |value| in either tree, so
 a value that crosses zero counts by its size.  The worst ulp over the rows
@@ -79,6 +85,11 @@ CONFIGS = {
                 "--t-steps", "200"],
     "layouts-json": ["--alpha-mag", "1e-150", "--t-start", "-2", "--t-end", "30",
                      "--t-steps", "200", "--format", "structured"],
+    "term-cap": ["--alpha-mag", "2", "--t-steps", "5", "--series-tol", "1e-19"],
+    "phase-limit": ["--alpha-mag", "7", "--t-start", "1e300", "--t-end", "1e301",
+                    "--t-steps", "3"],
+    "series-index": ["--alpha-mag", "7", "--t-start", "2", "--t-end", "30",
+                     "--t-steps", "2000", "--series-tol", "6e-16"],
 }
 
 

@@ -1,7 +1,7 @@
-"""Float64 arrays as text by array code, byte for byte in two formats:
-``"%.17g" % v`` (``render``, for CSV) and ``float.__repr__(v)`` with
-JSON's ``NaN``/``Infinity``/``-Infinity`` (``render_repr``, the text
-``json.dumps`` gives a float).
+"""A table of float64 columns as text by array code, one block of whole
+rows at a time (``render``), each value byte for byte as ``"%.17g" % v``
+(for CSV) or, with ``shortest``, as ``float.__repr__(v)`` with JSON's
+``NaN``/``Infinity``/``-Infinity`` (the text ``json.dumps`` gives a float).
 
 Each value ``v`` with ``1e-200 <= |v| < 1e200`` is scaled to
 ``x = |v| * 10**(16 - k)``, ``k = floor(log10 |v|)``, in double-double
@@ -206,22 +206,17 @@ def _render_block(v: np.ndarray, end: np.ndarray, shortest: bool) -> bytes:
     return out.T.tobytes().translate(None, b"\0")
 
 
-def _render(values: np.ndarray, ends, shortest: bool) -> bytes:
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    end = np.broadcast_to(np.asarray(ends, dtype=np.uint8), np.shape(values)).reshape(-1)
-    return b"".join(_render_block(v[lo:lo + BLOCK], end[lo:lo + BLOCK], shortest)
-                    for lo in range(0, v.size, BLOCK))
-
-
-def render(values: np.ndarray, ends) -> bytes:
-    """``"%.17g" % v`` for each of ``values`` (float64, in C order), each
-    followed by its byte of ``ends`` (an int or an array broadcast against
-    ``values``), as one ASCII text, rendered BLOCK values at a time."""
-    return _render(values, ends, False)
-
-
-def render_repr(values: np.ndarray, ends) -> bytes:
-    """As ``render``, with each value's text that of ``float.__repr__``,
-    nan and the infinities spelled ``NaN``, ``Infinity`` and ``-Infinity``:
-    the text ``json.dumps`` gives a float."""
-    return _render(values, ends, True)
+def render(columns, sep: str, end: str, shortest: bool = False):
+    """The rows of ``columns`` (equal-length float64 arrays) as ASCII text,
+    each value followed by ``sep`` and each row's last by ``end``, its text
+    ``"%.17g" % v`` or, if ``shortest``, that of ``float.__repr__`` with
+    nan and the infinities spelled ``NaN``, ``Infinity`` and ``-Infinity``.
+    Yields one block of whole rows at a time: at most BLOCK values, or one
+    row where a row is wider; nothing for a table with no rows."""
+    ends = np.full(len(columns), ord(sep), dtype=np.uint8)
+    ends[-1] = ord(end)
+    rows = max(1, BLOCK // len(columns))
+    for lo in range(0, len(columns[0]), rows):
+        block = np.stack([column[lo:lo + rows] for column in columns], axis=1,
+                         dtype=np.float64)
+        yield _render_block(block.reshape(-1), np.tile(ends, len(block)), shortest)

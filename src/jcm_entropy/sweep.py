@@ -79,27 +79,13 @@ def run_sweep(config: dynamics.SimulationConfig,
     return SweepResult(config=config, data=data)
 
 
-def _row_blocks(result: SweepResult, render, sep: str, end: str):
-    """The text of the rows by ``render`` (a ``_g17`` renderer), one block
-    of at most ``_g17.BLOCK`` values at a time, each value followed by
-    ``sep`` and each row's last by ``end``."""
+def _render_csv(result: SweepResult) -> list[bytes]:
+    """The CSV text as bytes: the header, then the rows block by block,
+    each value ``"%.17g" % x`` byte for byte."""
     from . import _g17  # loaded only when a sweep is rendered: not on import
 
-    columns = [result.data[name] for name in result.columns]
-    ends = np.full(len(columns), ord(sep), dtype=np.uint8)
-    ends[-1] = ord(end)
-    rows = max(1, _g17.BLOCK // len(columns))
-    for lo in range(0, columns[0].size, rows):
-        yield render(np.stack([column[lo:lo + rows] for column in columns], axis=1), ends)
-
-
-def _render_csv(result: SweepResult) -> list[bytes]:
-    """The CSV text as bytes: the header, then the rows ``_g17.BLOCK``
-    values at a time, each value ``"%.17g" % x`` byte for byte."""
-    from . import _g17
-
     header = (",".join(result.columns) + "\n").encode()
-    return [header, *_row_blocks(result, _g17.render, ",", "\n")]
+    return [header, *_g17.render(list(result.data.values()), ",", "\n")]
 
 
 def _render_structured(result: SweepResult) -> list[bytes]:
@@ -107,11 +93,11 @@ def _render_structured(result: SweepResult) -> list[bytes]:
     columns and rows, byte for byte, as bytes.
 
     The head is ``json.dumps`` of the payload with no rows.  The rows, the
-    bulk of the text, are rendered ``_g17.BLOCK`` values at a time, each
-    value as ``json.dumps`` gives a float, followed by ``;`` within a row
-    and ``|`` at its end, bytes that no float's text holds; each block's
-    ends are then replaced by the indented separators, and the last row's
-    by the payload's closing lines.
+    bulk of the text, are rendered block by block, each value as
+    ``json.dumps`` gives a float, followed by ``;`` within a row and ``|``
+    at its end, bytes that no float's text holds; each block's ends are
+    then replaced by the indented separators, and the last row's by the
+    payload's closing lines.
     """
     import json  # loaded only when a sweep is rendered as JSON
 
@@ -121,7 +107,7 @@ def _render_structured(result: SweepResult) -> list[bytes]:
     head = json.dumps({"config": asdict(result.config), "columns": list(result.columns),
                        "rows": []}, indent=2) + "\n"
     blocks = [block.replace(b";", value_sep).replace(b"|", row_sep)
-              for block in _row_blocks(result, _g17.render_repr, ";", "|")]
+              for block in _g17.render(list(result.data.values()), ";", "|", shortest=True)]
     if not blocks:
         return [head.encode()]
     blocks[-1] = blocks[-1][:-len(row_sep)] + b"\n    ]\n  ]\n}\n"

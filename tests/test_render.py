@@ -28,10 +28,22 @@ def percent_lines(values) -> bytes:
     return "".join("%.17g\n" % x for x in np.asarray(values).tolist()).encode()
 
 
-def assert_renders_as_percent(values):
-    values = np.asarray(values, dtype=np.float64)
-    got = _g17.render(values, ord("\n"))
-    want = percent_lines(values)
+def repr_lines(values) -> bytes:
+    """The oracle: one ``float.__repr__`` per value, one value a line."""
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    texts = map(float.__repr__, np.asarray(values).tolist())
+    return "".join(special.get(text, text) + "\n" for text in texts).encode()
+
+
+def rendered(values, end: str, shortest: bool = False) -> bytes:
+    """``values`` as a table of one column, each followed by ``end``."""
+    return b"".join(_g17.render([np.asarray(values, dtype=np.float64)], end, end, shortest))
+
+
+def assert_renders(values, shortest: bool):
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    got = rendered(values, "\n", shortest)
+    want = (repr_lines if shortest else percent_lines)(values)
     if got != want:
         pairs = zip(got.split(b"\n"), want.split(b"\n"), values.tolist())
         bad = [(x, g, w) for g, w, x in pairs if g != w]
@@ -51,17 +63,17 @@ def around(x, steps=4):
                 min_size=1, max_size=50))
 @settings(max_examples=300, deadline=None)
 def test_any_floats(xs):
-    assert_renders_as_percent(xs)
+    assert_renders(xs, False)
 
 
 def test_random_bit_patterns():
     bits = np.random.default_rng(9).integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
-    assert_renders_as_percent(bits.view(np.float64))
+    assert_renders(bits.view(np.float64), False)
 
 
 def test_exact_tie_rounds_half_to_even():
     # 3 * 2**-24 = 1.78813934326171875e-07 exactly: 18 digits ending in 5
-    assert _g17.render(np.array([3 * 2 ** -24]), ord("\n")) == b"1.7881393432617188e-07\n"
+    assert rendered([3 * 2 ** -24], "\n") == b"1.7881393432617188e-07\n"
 
 
 @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-05])
@@ -69,38 +81,60 @@ def test_both_sides_of_each_notation_switch(edge):
     # the decimal exponent changes at each edge, and the notation at 1e-4
     # and 1e17
     values = around(edge)
-    assert_renders_as_percent(values + [-x for x in values])
+    assert_renders(values + [-x for x in values], False)
 
 
 def test_notation_switches():
     values = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e17, 0.0), 1e17]
-    assert _g17.render(np.array(values), ord(",")) == \
-        b"9.9999999999999991e-05,0.0001,99999999999999984,1e+17,"
+    assert rendered(values, ",") == b"9.9999999999999991e-05,0.0001,99999999999999984,1e+17,"
 
 
 @pytest.mark.parametrize("edge", [1e-200, 1e200])
 def test_both_sides_of_the_array_range(edge):
     values = around(edge)
-    assert_renders_as_percent(values + [-x for x in values])
+    assert_renders(values + [-x for x in values], False)
 
 
 def test_signed_zeros_and_specials():
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
               sys.float_info.max, -sys.float_info.max, sys.float_info.min]
-    assert _g17.render(np.array(values[:2]), ord(",")) == b"0,-0,"
-    assert_renders_as_percent(values)
+    assert rendered(values[:2], ",") == b"0,-0,"
+    assert_renders(values, False)
 
 
 def test_powers_of_ten_and_round_numbers():
     values = [10.0 ** j for j in range(-310, 309)] + [float(n) for n in range(-1000, 1001)]
-    assert_renders_as_percent(values + [x * 0.1 for x in values])
+    assert_renders(values + [x * 0.1 for x in values], False)
 
 
 def test_ends_follow_each_value():
-    values = np.array([[1.5, -2.0, 1e-7], [0.1, 3.0, 1e300]])
-    ends = np.frombuffer(b",,\n", dtype=np.uint8)
-    assert _g17.render(values, ends) == b"1.5,-2,9.9999999999999995e-08\n" \
+    columns = [np.array([1.5, 0.1]), np.array([-2.0, 3.0]), np.array([1e-7, 1e300])]
+    assert b"".join(_g17.render(columns, ",", "\n")) == b"1.5,-2,9.9999999999999995e-08\n" \
         b"0.10000000000000001,3,1.0000000000000001e+300\n"
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+@pytest.mark.parametrize("ncols, nrows", [(1, 9000), (11, 1000), (12, 373), (5000, 3)])
+def test_blocks_hold_whole_rows(ncols, nrows, shortest):
+    # at most BLOCK values a block, but one row wider than BLOCK is a block
+    rng = np.random.default_rng(ncols)
+    table = rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-8, 8, (nrows, ncols))
+    blocks = list(_g17.render(list(table.T), ";", "|", shortest))
+    for block in blocks:
+        values = block.count(b";") + block.count(b"|")
+        assert block.endswith(b"|") and values == block.count(b"|") * ncols
+        assert 0 < values <= max(_g17.BLOCK, ncols)
+    rows = table.tolist()
+    if shortest:
+        oracle = [json.dumps(row, separators=(";", ""))[1:-1] for row in rows]
+    else:
+        oracle = [";".join("%.17g" % x for x in row) for row in rows]
+    assert b"".join(blocks) == "".join(row + "|" for row in oracle).encode()
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+def test_a_table_without_rows_renders_nothing(shortest):
+    assert list(_g17.render([np.empty(0)] * 3, ",", "\n", shortest)) == []
 
 
 def percent_csv(result) -> bytes:
@@ -178,16 +212,16 @@ def test_json_rendering_memory_is_bounded_by_the_block(tmp_path):
     assert peak - size <= 1024 * _g17.BLOCK
 
 
-@pytest.mark.parametrize("render", [_g17.render, _g17.render_repr])
-def test_one_block_renders_within_a_mebibyte(render):
+@pytest.mark.parametrize("shortest", [False, True])
+def test_one_block_renders_within_a_mebibyte(shortest):
     # the values of the 200000-row tests, one block of them; a (values, 26)
     # intp index of per-layout templates took 832 KiB of the 1.37 MiB
     rng = np.random.default_rng(3)
     values = rng.standard_normal(_g17.BLOCK) * 10.0 ** rng.integers(-8, 8, _g17.BLOCK)
-    render(values, ord(","))  # builds the cached powers of ten
+    rendered(values, ",", shortest)  # builds the cached powers of ten
     tracemalloc.start()
     try:
-        text = render(values, ord(","))
+        (text,) = _g17.render([values], ",", ",", shortest)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,70 +258,51 @@ def test_renderer_loads_with_the_first_json():
 
 # The JSON route: each value as float.__repr__ gives it, in JSON's spelling.
 
-def repr_lines(values) -> bytes:
-    """The oracle: one ``float.__repr__`` per value, one value a line."""
-    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-    texts = map(float.__repr__, np.asarray(values, dtype=np.float64).reshape(-1).tolist())
-    return "".join(special.get(text, text) + "\n" for text in texts).encode()
-
-
-def assert_renders_as_repr(values):
-    values = np.asarray(values, dtype=np.float64)
-    got = _g17.render_repr(values, ord("\n"))
-    want = repr_lines(values)
-    if got != want:
-        pairs = zip(got.split(b"\n"), want.split(b"\n"), values.tolist())
-        bad = [(x, g, w) for g, w, x in pairs if g != w]
-        pytest.fail(f"{len(bad)} values differ, first {bad[:3]}")
-
-
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=50))
 @settings(max_examples=300, deadline=None)
 def test_repr_any_floats(xs):
-    assert_renders_as_repr(xs)
+    assert_renders(xs, True)
 
 
 def test_repr_random_bit_patterns():
     bits = np.random.default_rng(14).integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
-    assert_renders_as_repr(bits.view(np.float64))
+    assert_renders(bits.view(np.float64), True)
 
 
 def test_repr_powers_of_two_and_their_neighbours():
     # the rounding interval of a power of two is narrower below it
     values = [x for j in range(-1074, 1024) for x in around(2.0 ** j)]
-    assert_renders_as_repr(values + [-x for x in values])
+    assert_renders(values + [-x for x in values], True)
 
 
 @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16])
 def test_repr_both_sides_of_each_notation_switch(edge):
     # X = -5 | -4 switches to fixed notation, X = 15 | 16 back out of it
     values = around(edge)
-    assert_renders_as_repr(values + [-x for x in values])
+    assert_renders(values + [-x for x in values], True)
 
 
 def test_repr_notation_switches():
     values = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, 5e-5]
-    assert _g17.render_repr(np.array(values), ord(",")) == \
+    assert rendered(values, ",", True) == \
         b"9.999999999999999e-05,0.0001,9999999999999998.0,1e+16,5e-05,"
 
 
 def test_repr_integral_values():
-    assert _g17.render_repr(np.array([1.0, 100.0, 1e16, -7.0]), ord(",")) == \
-        b"1.0,100.0,1e+16,-7.0,"
+    assert rendered([1.0, 100.0, 1e16, -7.0], ",", True) == b"1.0,100.0,1e+16,-7.0,"
     rng = np.random.default_rng(15)
     values = ([float(n) for n in range(-1000, 1001)] + [10.0 ** j for j in range(17)]
               + np.floor(10.0 ** rng.uniform(0, 16, 20_000)).tolist())
-    assert_renders_as_repr(values)
+    assert_renders(values, True)
 
 
 def test_repr_signed_zeros_subnormals_and_specials():
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310,
               sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
               sys.float_info.max, -sys.float_info.max]
-    assert _g17.render_repr(np.array(values[:5]), ord(",")) == \
-        b"0.0,-0.0,NaN,Infinity,-Infinity,"
-    assert_renders_as_repr(values)
+    assert rendered(values[:5], ",", True) == b"0.0,-0.0,NaN,Infinity,-Infinity,"
+    assert_renders(values, True)
 
 
 def near_a_boundary(x: float) -> bool:
@@ -326,7 +341,7 @@ def test_repr_falls_back_only_where_listed():
     rest = values[slow & ~listed].tolist()
     assert boundary[0] in rest and boundary[1] in rest
     assert all(near_a_boundary(x) for x in rest), rest
-    assert_renders_as_repr(values)
+    assert_renders(values, True)
 
 
 def json_oracle(result) -> bytes:

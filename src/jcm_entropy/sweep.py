@@ -15,8 +15,8 @@ BASE_COLUMNS = ("t", "sx", "sy", "sz", "eta", "xi", "gamma",
 _AFTER_SERIES = BASE_COLUMNS.index("wehrl_series") + 1
 ORACLE_COLUMNS = (BASE_COLUMNS[:_AFTER_SERIES] + ("wehrl_quadrature",)
                   + BASE_COLUMNS[_AFTER_SERIES:])
-# Grid points per run of a sweep.  A run's temporaries, the spectral route's
-# included (about 200 B a time), grow with this, not with the grid.
+# Most grid points in a run of a sweep.  A run's temporaries, the spectral
+# route's included (about 200 B a time), grow with this, not with the grid.
 RUN_POINTS = 2 ** 12
 
 
@@ -45,11 +45,12 @@ def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
 
-    The Fock amplitudes are built once.  The grid is then taken in runs of
-    ``RUN_POINTS`` points, so temporaries grow with that, not the grid; for
-    each run the Bloch vector, the entropies and, when
-    ``with_oracle`` is set, the slow spherical quadrature are each computed
-    at once, into columns allocated for the whole grid.
+    The Fock amplitudes are built once.  The grid is then cut into the
+    fewest runs of at most ``RUN_POINTS`` points, whose lengths differ by at
+    most one, so temporaries grow with that, not the grid; for each run the
+    Bloch vector, the entropies and, when ``with_oracle`` is set, the slow
+    spherical quadrature are each computed at once, into columns allocated
+    for the whole grid.
 
     No stage runs twice.  A DomainError or PrecisionLossError is raised
     again, as an error of its type, as ``at T = <t>: <its message>``: <t>
@@ -67,14 +68,15 @@ def run_sweep(config: dynamics.SimulationConfig,
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
-    for lo in range(0, t.size, RUN_POINTS):
-        part = t[lo:lo + RUN_POINTS]
+    runs = -(-t.size // RUN_POINTS)
+    for k in range(runs):
+        lo, hi = k * t.size // runs, (k + 1) * t.size // runs
         try:
-            values = _stages(part, amps, config, quad)
+            values = _stages(t[lo:hi], amps, config, quad)
         except (DomainError, PrecisionLossError) as exc:
-            raise type(exc)(f"at T = {part[exc.index].item()!r}: {exc}") from exc
+            raise type(exc)(f"at T = {t[lo + exc.index].item()!r}: {exc}") from exc
         for name in columns[1:]:
-            data[name][lo:lo + part.size] = values[name]
+            data[name][lo:hi] = values[name]
         del values  # before the next run of points is computed
     return SweepResult(config=config, data=data)
 

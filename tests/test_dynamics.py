@@ -495,21 +495,25 @@ class TestSpectralRoute:
         for j in (4095, 4096, 4097, T.size // 2, T.size - 1):
             self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
-    @pytest.mark.parametrize("alpha_mag, t_start, t_end", [
-        (300.0, 0.0, 3.0 * 2.0 * math.pi * 300.0),  # three revival times
-        (30.0, 1e6, 1e6 + 300.0),
-    ], ids=["revivals-a300", "long-times-a30"])
-    def test_sweeps_against_mpmath_past_their_first_run(self, alpha_mag, t_start, t_end):
+    @pytest.mark.parametrize("alpha_mag, t_start, t_end, t_steps", [
+        (300.0, 0.0, 3.0 * 2.0 * math.pi * 300.0, 12000),  # three revival times
+        (30.0, 1e6, 1e6 + 300.0, 12000),
+        (30.0, 1e6, 1e6 + 30.0, 4097),  # one point past a run
+    ], ids=["revivals-a300", "long-times-a30", "one-past-a-run-a30"])
+    def test_sweeps_against_mpmath_past_their_first_run(self, alpha_mag, t_start, t_end,
+                                                         t_steps):
         # each of run_sweep's runs is a block of its own, which starts past
         # T = 0 from the second on: a Bloch component is twice an entry
         config = SimulationConfig(alpha_mag=alpha_mag, alpha_phase=0.7,
-                                  t_start=t_start, t_end=t_end, t_steps=12000)
+                                  t_start=t_start, t_end=t_end, t_steps=t_steps)
         result = run_sweep(config)
         amps = coherent_amplitudes(alpha_mag, 0.7, config.fock_tail_tol)
         with mpmath.workdps(40):
             roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
         T = result.data["t"]
         for j in (0, 4095, 4096, 4097, 8191, 8192, T.size // 2, T.size - 1):
+            if j >= T.size:
+                continue
             ee, gg, eg = mp_density(amps, T[j], roots)
             for name, exact in (("sx", 2 * eg.real), ("sy", 2 * eg.imag), ("sz", ee - gg)):
                 assert abs(result.data[name][j] - exact) <= 2 * SPECTRAL_TOL, (name, j)

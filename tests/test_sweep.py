@@ -116,11 +116,18 @@ class TestColumnarResult:
                             lambda amps, T: calls.append(np.size(T)) or real(amps, T))
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
-        # a sweep's runs are the spectral route's blocks, each summed on its own
-        block = sweep.RUN_POINTS
+        # a sweep's runs are the spectral route's blocks, each summed on its
+        # own; runs of equal length leave none too short for that route
+        assert sweep.RUN_POINTS // 2 >= dynamics.SPECTRAL_MIN_TIMES
+        direct = []
+        real_direct = dynamics._direct_sums
+        monkeypatch.setattr(dynamics, "_direct_sums",
+                            lambda *args: direct.append(args[-1].size) or real_direct(*args))
         calls.clear()
-        run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=2 * block + 1))
-        assert calls == [block, block, 1]
+        run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0,
+                                   t_steps=2 * sweep.RUN_POINTS + 1))
+        assert calls == [2731, 2731, 2731]
+        assert direct == []
 
     def test_one_quadrature_call_per_sweep(self, monkeypatch):
         calls = []
@@ -220,8 +227,9 @@ class TestErrorContract:
         assert message.endswith("at eta = 0.2457739797141691"), message
 
     def test_each_stage_runs_once_per_run(self, monkeypatch):
-        # the last stage fails at the last point, alone in the second run:
-        # every stage runs once in each run, the failing run included
+        # the last stage fails at the last point, which ends the second of
+        # two runs of 2048 and 2049 points: every stage runs once in each
+        # run, the failing run included
         t = np.linspace(0.0, 0.7, sweep.RUN_POINTS + 1)
         real_density, real_bloch = dynamics.reduced_density, dynamics.bloch_vector
         real_record, real_quadrature = entropies.entropy_record, husimi.wehrl_entropy_quadrature

@@ -8,8 +8,8 @@ trees: the benchmark workloads' shapes, |alpha| = 0, 0.3, 3, 30 and 45,
 |alpha| = 200 out to 1.1 revival times (a large basis on the spectral route
 of ``reduced_density``), |alpha| = 300 out to three revival times on 12000
 points (a large basis past a sweep's first run), a one-point grid, a grid
-one point longer than a sweep's run (its last run is one point, on the
-direct route), a grid starting next to the pure state (as CSV, and as JSON,
+one point longer than a sweep's longest run (two runs, of 2048 and 2049
+points, both on the spectral route), a grid starting next to the pure state (as CSV, and as JSON,
 whose small ``t`` print in exponent notation), the oracle column as CSV and
 JSON, and |alpha| = 30 at ``--fock-tol 1e-40``, the one config whose Fock
 window the tail bound widens past the ``10|alpha| + 20`` floor (every other

@@ -383,9 +383,8 @@ def _spectral_sums(p, q, n1, root, T, h):
     kh, kh_err = _two_prod(k.astype(float), h)
     skew = (diff - kh) + (diff_err - kh_err)
 
-    def band_sum(band):
-        """sum_n c_n exp(i w_n T) at the grid's times."""
-        c, w, w_lo, node, node_lo = band
+    sums = []  # sum_n c_n exp(i w_n T) at the grid's times, per band
+    for c, w, w_lo, node, node_lo in bands:
         grid.fill(0.0)
         for s in range(0, w.size, piece):
             e = s + piece
@@ -404,11 +403,11 @@ def _spectral_sums(p, q, n1, root, T, h):
         value *= deconv
         rate *= deconv
         value += 1j * skew * rate  # first order in the skew
-        return value
+        sums.append(value)
 
     total = np.add.reduce(p)
-    inversion = band_sum(bands[0]).real  # rho_ee - rho_gg
-    sine = band_sum(bands[1]).imag
+    inversion = sums[0].real  # rho_ee - rho_gg
+    sine = sums[1].imag
     if T[0] == 0.0:  # the exact initial state: total - inversion[0] is exact
         inversion += total - inversion[0]
         sine -= sine[0]
@@ -434,8 +433,12 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     at least ``SPECTRAL_MIN_TIMES`` times, on a basis of more than one
     term.  It forms every phase and node exactly, so each entry lies within
     ``SPECTRAL_TOL`` of the exact sums at any grid length while
-    T*sqrt(n_max+1) stays below 1e9; a grid starting at T = 0 gets there the
-    exact initial state, the direct route's bits.  It sums the grid as one
+    T*sqrt(n_max+1) stays below 1e9.  Phases from 1e9 up to the 2**53
+    refusal are accepted with no stated tolerance: at |alpha| = 30 an entry
+    was 8.4e-11 off at phase 3.5e11 and 5.6e-3 off at 3.5e15, the
+    second-order remainders of the first-order phase and skew corrections.
+    A grid starting at T = 0 gets there the exact initial state, the direct
+    route's bits.  It sums the grid as one
     block by two transforms, the population inversion and the coherence,
     with working memory of about 200 B a time.  Scalars, non-uniform arrays,
     shorter grids, grids with equal ends and the vacuum take the direct route.

@@ -25,11 +25,14 @@ sum as one product of its Q ln Q with the weights.  Points are taken
 to the same shape, so each point's value is that of a scalar call, bit for
 bit; a scalar call pays for one block.  Every call runs one share loop:
 a call of four blocks or more is cut into two contiguous shares, the second
-on a thread of its own, where the host has two usable cores or more, and
-any other call is one share, on the calling thread.  Each share holds its
-own Q and Q ln Q buffers (512 KiB at 64x128), so the cap of two threads
-bounds the memory whatever the core count, and no value depends on the
-number of threads.  Q ln Q is taken unchecked as log(Q) * Q; a block with
+on a thread of its own, and any other call is one share, on the calling
+thread.  The cut depends on the call's size alone, not on the host: in a
+process pinned to one CPU the two shares take turns, and the 2000-point
+oracle call at 64x128 takes 39.5 ms as two shares against 38.9 ms as one
+(medians of 60 interleaved calls; within 2% either way over four such
+runs).  Each share holds its own Q and Q ln Q buffers (512 KiB at
+64x128), so the two shares bound the memory, and no value depends on the
+cut.  Q ln Q is taken unchecked as log(Q) * Q; a block with
 a point whose value comes out non-finite is taken again by the checked
 path, which raises where any node's Q falls below ``Q_FLOOR`` (a NaN
 elsewhere in the block hides none) and otherwise clamps Q at 0 with
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -67,12 +69,6 @@ Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
 # (Q and Q ln Q, 256 KiB each); a point whose nodes exceed this is still
 # taken whole.
 QUAD_ELEMENTS = 2 ** 15
-# Threads that share one call's blocks, the calling one included.  Each
-# holds its own Q and Q ln Q buffers, so this, not the host, bounds the
-# memory: beyond its output, a 2000-point oracle sweep at 64x128 holds
-# 1.05-1.20 MiB with one, 1.56 MiB with two and 2.06 MiB with three, where
-# the tests allow 2 MiB.
-_MAX_WORKERS = 2
 
 
 def _legendre(order: int, x: np.ndarray):
@@ -149,17 +145,19 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     Each block has the same shape: the last, and a lone point, are padded
     with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
     not depend on the points that share its call.  Each point's sum is one
-    product of its Q ln Q with ``quad.weights``.  The blocks are cut into
-    contiguous shares, one per worker: at most ``_MAX_WORKERS``, the usable
-    cores, and one per two blocks.  Every call runs the same loop over its
-    shares: the calling thread takes the first, and each other share runs
-    on a thread of its own, so a one-share call (a scalar, one to three
-    blocks, a one-core host) starts none.  Those threads are joined before
-    the call returns or raises, and the first failing share's error is
-    raised; its ``index`` counts from the call's first point, the share's
-    offset and the block's added, so it is the first failing point of the
-    call.  A share does the same operations on blocks of the same shape
-    whatever the cut, so no value depends on it.
+    product of its Q ln Q with ``quad.weights``.  The blocks are cut by
+    the call's size alone, whatever the host's cores: four blocks or more
+    into two contiguous shares, fewer (a scalar, one to three blocks) into
+    one.  On one CPU the two shares cost about what one does (see the
+    module notes); two, each with its own buffers, bound the memory on any
+    host.  Every call runs the same loop over its shares: the calling
+    thread takes the first, and the second runs on a thread of its own, so
+    a one-share call starts none.  That thread is joined before the call
+    returns or raises, and the first failing share's error is raised; its
+    ``index`` counts from the call's first point, the share's offset and
+    the block's added, so it is the first failing point of the call.  A
+    share does the same operations on blocks of the same shape whatever the
+    cut, so no value depends on it.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -171,11 +169,7 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     for k, c in enumerate((sz, sx, sy), start=1):
         coords[:sz.size, k] = c.reshape(-1)
     out = np.empty(coords.shape[0])
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cores = os.cpu_count() or 1
-    workers = max(1, min(_MAX_WORKERS, cores, blocks // 2))
+    workers = 2 if blocks >= 4 else 1
     cuts = [blocks * k // workers * rows for k in range(workers + 1)]
     errors = [None] * workers
 

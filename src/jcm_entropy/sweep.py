@@ -32,15 +32,6 @@ class SweepResult:
         return tuple(self.data)
 
 
-def _stages(t: np.ndarray, amps, config: dynamics.SimulationConfig, quad) -> dict:
-    """The output columns at the grid points ``t``, each stage run once."""
-    b = dynamics.bloch_vector(dynamics.reduced_density(amps, t))
-    values = {**vars(b), **entropies.entropy_record(b.eta, config.series_tol)}
-    if quad is not None:
-        values["wehrl_quadrature"] = husimi.wehrl_entropy_quadrature(b, quad)
-    return values
-
-
 def run_sweep(config: dynamics.SimulationConfig,
               with_oracle: bool = False) -> SweepResult:
     """Evaluate the full entropy record on an evenly spaced time grid.
@@ -72,12 +63,15 @@ def run_sweep(config: dynamics.SimulationConfig,
     for k in range(runs):
         lo, hi = k * t.size // runs, (k + 1) * t.size // runs
         try:
-            values = _stages(t[lo:hi], amps, config, quad)
+            b = dynamics.bloch_vector(dynamics.reduced_density(amps, t[lo:hi]))
+            values = {**vars(b), **entropies.entropy_record(b.eta, config.series_tol)}
+            if with_oracle:
+                values["wehrl_quadrature"] = husimi.wehrl_entropy_quadrature(b, quad)
         except (DomainError, PrecisionLossError) as exc:
             raise type(exc)(f"at T = {t[lo + exc.index].item()!r}: {exc}") from exc
         for name in columns[1:]:
             data[name][lo:hi] = values[name]
-        del values  # before the next run of points is computed
+        del b, values  # before the next run of points is computed
     return SweepResult(config=config, data=data)
 
 

@@ -1,19 +1,9 @@
-"""Fixtures for the husimi quadrature's split of a call over threads: the
-core count it reads, and the threads it starts."""
+"""A fixture for the husimi quadrature's split of a call over threads: the
+threads it starts."""
 
-import os
 import threading
 
 import pytest
-
-
-@pytest.fixture
-def usable_cores(monkeypatch):
-    """``usable_cores(n)`` makes ``os.sched_getaffinity`` report ``n`` cores."""
-    def report(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-    return report
 
 
 @pytest.fixture

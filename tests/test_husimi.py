@@ -262,14 +262,13 @@ class TestArrayQuadrature:
             want = masked_quadrature(b, quad)
             assert abs(wehrl_entropy_quadrature(b, quad) - want) <= 4 * np.spacing(want)
 
-    def test_unit_vector_antipodal_to_a_node(self, monkeypatch, usable_cores):
+    def test_unit_vector_antipodal_to_a_node(self, monkeypatch):
         # Q is 0 at that node up to rounding, so some of these blocks take
         # the clamped, masked Q ln Q; taken as one array of 17 blocks, some
         # do so in the second share, on its own thread
         masked = []
         monkeypatch.setattr(husimi, "_xlogx",
                             lambda x: masked.append(threading.current_thread()) or _xlogx(x))
-        usable_cores(2)
         quad = SphereQuadrature(64, 128)
         mu_nodes, phis = husimi._gauss_legendre(64)[0], phi_grid(quad)
         vectors, values = [], []
@@ -301,8 +300,8 @@ class TestArrayQuadrature:
 
 
 class TestWorkers:
-    """A call of four blocks or more is split over two threads where the
-    host reports two usable cores or more."""
+    """A call of four blocks or more is split over two threads, and a call
+    of one to three blocks runs on the calling thread, whatever the host."""
 
     # 4, 64, 3, 5, 6, 7 and 4096 points a block; at 4096, every 64th point
     # from the last back is checked against its scalar call
@@ -310,65 +309,59 @@ class TestWorkers:
                                               ((91, 120), 14), ((80, 80), 22),
                                               ((73, 74), 26), ((68, 68), 30),
                                               ((2, 4), 4 * 4096 + 1)])
-    def test_worker_count_does_not_change_values(self, orders, count, usable_cores,
-                                                 started_threads):
+    def test_worker_count_does_not_change_values(self, orders, count, started_threads):
         quad = SphereQuadrature(*orders)
         rows = QUAD_ELEMENTS // (orders[0] * orders[1])
         assert count // rows >= 4 and count % rows  # four whole blocks, a partial last
         sx, sy, sz = random_components(count, seed=6)
-        arrays = BlochVector(sx, sy, sz, None)
-        usable_cores(1)
-        alone = wehrl_entropy_quadrature(arrays, quad)
-        assert not started_threads
-        usable_cores(2)
-        split = wehrl_entropy_quadrature(arrays, quad)
+        # one share each: calls of at most three blocks
+        alone = np.concatenate([
+            wehrl_entropy_quadrature(BlochVector(sx[lo:lo + 3 * rows], sy[lo:lo + 3 * rows],
+                                                 sz[lo:lo + 3 * rows], None), quad)
+            for lo in range(0, count, 3 * rows)])
+        assert not started_threads  # one to three blocks start none
+        split = wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
         assert len(started_threads) == 1
         assert split.tobytes() == alone.tobytes()
         for i in range(count - 1, -1, -max(1, rows // 64)):
             one = wehrl_entropy_quadrature(bloch(sx[i].item(), sy[i].item(), sz[i].item()),
                                            quad)
             assert one == split[i], i
-        wehrl_entropy_quadrature(BlochVector(sx[:3 * rows], sy[:3 * rows], sz[:3 * rows],
-                                             None), quad)
-        assert len(started_threads) == 1  # one to three blocks start none
 
-    def test_outside_ball_in_the_second_share(self, usable_cores, started_threads):
+    def test_outside_ball_in_the_second_share(self, started_threads):
         quad = SphereQuadrature(64, 128)
         sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
         sz[30] = 1.5  # 10 blocks of 4 points; the second share holds 20 to 39
-        arrays = BlochVector(sx, sy, sz, None)
-        usable_cores(1)
-        with pytest.raises(DomainError) as alone:
-            wehrl_entropy_quadrature(arrays, quad)
-        usable_cores(2)
+        with pytest.raises(DomainError) as alone:  # one share each: three blocks
+            for lo in range(0, 40, 12):
+                wehrl_entropy_quadrature(BlochVector(sx[lo:lo + 12], sy[lo:lo + 12],
+                                                     sz[lo:lo + 12], None), quad)
+        assert not started_threads
         before = threading.active_count()
         with pytest.raises(DomainError) as split:
-            wehrl_entropy_quadrature(arrays, quad)
+            wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
         assert len(started_threads) == 1
         assert threading.active_count() == before
         assert str(split.value) == str(alone.value)
 
-    def test_index_counts_from_the_first_point_of_the_call(self, usable_cores,
-                                                            started_threads):
+    def test_index_counts_from_the_first_point_of_the_call(self, started_threads):
         # 10 blocks of 4 points; point 30 lies inside the block 28 to 31, the
         # third of the second share, which holds 20 to 39
         quad = SphereQuadrature(64, 128)
         sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
         sz[[30, 33, 37]] = 1.5
-        usable_cores(2)
         with pytest.raises(DomainError) as raised:
             wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
         assert len(started_threads) == 1
         assert raised.value.index == 30
 
     @pytest.mark.parametrize("bad,first_share", [([30], False), ([5, 30], True)])
-    def test_first_error_in_grid_order_is_raised(self, monkeypatch, usable_cores,
-                                                 started_threads, bad, first_share):
+    def test_first_error_in_grid_order_is_raised(self, monkeypatch, started_threads,
+                                                 bad, first_share):
         def failing(q):
             raise DomainError(threading.current_thread().name)
 
         monkeypatch.setattr(husimi, "_q_log_q", failing)
-        usable_cores(2)
         sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
         sz[bad] = 1.5  # its block takes the checked path
         with pytest.raises(DomainError) as raised:
@@ -400,14 +393,12 @@ class TestNonFinitePoints:
             wehrl_entropy_quadrature(block, quad)
         assert str(raised.value) == alone
 
-    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("f", [wehrl_entropy_quadrature])
-    def test_each_point_takes_its_scalar_outcome(self, f, cores, usable_cores):
-        # 17 points (five blocks of 4 at 64x128, split 8 + 9 on two cores),
-        # one special point in the first or the second share, alone in its
-        # block or beside a NaN point
+    def test_each_point_takes_its_scalar_outcome(self, f):
+        # 17 points (five blocks of 4 at 64x128, split 8 + 9 into two
+        # shares), one special point in the first or the second share, alone
+        # in its block or beside a NaN point
         quad = SphereQuadrature(64, 128)
-        usable_cores(cores)
         specials = [[0.0, 0.0, 0.0]]
         for value in (math.nan, math.inf, -math.inf, 1e308, -1e308):
             for axis in range(3):

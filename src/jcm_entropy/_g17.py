@@ -145,14 +145,6 @@ def _decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.
     return digits, k, slow
 
 
-def _fallback(x: float, shortest: bool) -> str:
-    """One value's text by Python's own formatting."""
-    if shortest:
-        text = float.__repr__(x)
-        return _JSON_SPECIALS.get(text, text)
-    return "%.17g" % x
-
-
 def _render_block(v: np.ndarray, end: np.ndarray, shortest: bool) -> bytes:
     digits, k, slow = _decimal(v, shortest)
     # the digits, from the last, nine and eight at a time in one uint32
@@ -199,8 +191,11 @@ def _render_block(v: np.ndarray, end: np.ndarray, shortest: bool) -> bytes:
     out[_EXP + 3] = (e // 10 % 10 + ord("0")) * sci
     out[_EXP + 4] = (e % 10 + ord("0")) * sci
     out[_END] = end
-    for i in np.flatnonzero(slow).tolist():
-        text = _fallback(v[i].item(), shortest).encode() + bytes([end[i]])
+    specials = _JSON_SPECIALS if shortest else {}  # %g's nan and inf stay as they are
+    for i in np.flatnonzero(slow).tolist():  # by Python's own formatting
+        x = v[i].item()
+        text = float.__repr__(x) if shortest else "%.17g" % x
+        text = specials.get(text, text).encode() + bytes([end[i]])
         out[:, i] = 0
         out[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
     return out.T.tobytes().translate(None, b"\0")

@@ -255,7 +255,7 @@ CHUNK_ELEMENTS = 2 ** 13
 # initial state.
 SPECTRAL_MIN_TIMES = 2 ** 7
 SPECTRAL_TOL = 1e-13
-_GRID_ULPS = 4           # a uniform grid lies within this of T[0] + j*h
+_GRID_ULPS = 4           # most |T[j] - (T[0] + j*h)| on a uniform grid, in ulps
 # a phase's ulp is 2 radians or more from here on; the limit also keeps the
 # spectral route's exact products far below their overflow at about 1.3e300
 _PHASE_LIMIT = 2.0 ** 53
@@ -305,35 +305,6 @@ def _direct_sums(p, q, root, times):
     return rho_ee, rho_gg, coh
 
 
-def _grid_step(T: np.ndarray):
-    """The step h of a uniform grid T[j] = T[0] + j*h, h nonzero, or None.
-
-    ``np.linspace`` output and any run of its points lie within a few ulps
-    of such a grid; ``_GRID_ULPS`` ulps of the larger end are allowed.
-    """
-    if T.ndim != 1 or T.size < 3:
-        return None
-    h = (T[-1] - T[0]) / (T.size - 1)
-    if h == 0.0:
-        return None
-    reach = max(abs(T[0]), abs(T[-1]))
-    off = np.abs(T - (T[0] + h * np.arange(T.size)))
-    return h if off.max() <= _GRID_ULPS * np.spacing(reach) else None
-
-
-def _nodes(w, w_lo, step, step_lo, cells):
-    """NUFFT nodes node + node_lo of the frequencies w + w_lo (double-double).
-
-    A node is the phase advance of a frequency over one grid step,
-    (w + w_lo) h / (2 pi) mod 1 with h / (2 pi) = step + step_lo, here in
-    cells of the fine grid, in [-cells/2, cells/2], carried in double-double
-    so that mode indices up to half a long grid multiply no rounding of it.
-    """
-    prod, err = _two_prod(w, step)
-    node, node_lo = _two_prod(prod - np.rint(prod), cells)
-    return node, node_lo + (err + w * step_lo + w_lo * step) * cells
-
-
 def _spectral_sums(p, q, n1, root, T, h):
     """The sums of ``_direct_sums`` on the uniform grid T of step h.
 
@@ -375,7 +346,6 @@ def _spectral_sums(p, q, n1, root, T, h):
     minus = (-q, root[1:] - root[:-1], root_lo[1:] - root_lo[:-1])
     bands = [(p, 2.0 * root, 2.0 * root_lo), tuple(map(np.concatenate, zip(plus, minus)))]
     del prod, err, root_lo, pair, pair_lo, plus, minus
-    bands = [(c, w, w_lo, *_nodes(w, w_lo, step, step_lo, cells)) for c, w, w_lo in bands]
 
     centre = T[0] + (modes // 2) * h  # the time of mode 0
     # skew = T - (centre + k h), exact to rounding
@@ -384,7 +354,14 @@ def _spectral_sums(p, q, n1, root, T, h):
     skew = (diff - kh) + (diff_err - kh_err)
 
     sums = []  # sum_n c_n exp(i w_n T) at the grid's times, per band
-    for c, w, w_lo, node, node_lo in bands:
+    for c, w, w_lo in bands:
+        # the nodes node + node_lo: the phase advance (w + w_lo) h / (2 pi)
+        # mod 1 of each frequency over one grid step, in cells of the fine
+        # grid, in [-cells/2, cells/2], carried in double-double so that mode
+        # indices up to half a long grid multiply no rounding of it
+        prod, err = _two_prod(w, step)
+        node, node_lo = _two_prod(prod - np.rint(prod), cells)
+        node_lo += (err + w * step_lo + w_lo * step) * cells
         grid.fill(0.0)
         for s in range(0, w.size, piece):
             e = s + piece
@@ -414,7 +391,7 @@ def _spectral_sums(p, q, n1, root, T, h):
     return 0.5 * (total + inversion), 0.5 * (total - inversion), 0.5 * sine
 
 
-def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
+def reduced_density(amps: FockAmplitudes, T, *, reach: float = 0.0) -> AtomicDensityMatrix:
     """Reduced atomic density matrix of the resonant model at scaled time T.
 
     T is a scalar or a 1-D array.  With p_n = |C_n|^2 and
@@ -431,17 +408,21 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     Spectral route (``_spectral_sums``), taken on every uniform 1-D grid
     with a nonzero step (``np.linspace`` output or a run of its points) of
     at least ``SPECTRAL_MIN_TIMES`` times, on a basis of more than one
-    term.  It forms every phase and node exactly, so each entry lies within
+    term.  Uniform means that each T[j] lies within ``_GRID_ULPS`` ulps of
+    T[0] + j*h, ulps of the larger of ``reach`` and T's |ends|: a run cut
+    from a longer ``np.linspace`` grid is rounded at the scale of that
+    grid's larger |end|, which is what ``run_sweep`` passes as ``reach``.
+    It forms every phase and node exactly, so each entry lies within
     ``SPECTRAL_TOL`` of the exact sums at any grid length while
     T*sqrt(n_max+1) stays below 1e9.  Phases from 1e9 up to the 2**53
     refusal are accepted with no stated tolerance: at |alpha| = 30 an entry
     was 8.4e-11 off at phase 3.5e11 and 5.6e-3 off at 3.5e15, the
     second-order remainders of the first-order phase and skew corrections.
     A grid starting at T = 0 gets there the exact initial state, the direct
-    route's bits.  It sums the grid as one
-    block by two transforms, the population inversion and the coherence,
-    with working memory of about 200 B a time.  Scalars, non-uniform arrays,
-    shorter grids, grids with equal ends and the vacuum take the direct route.
+    route's bits.  It sums the grid as one block by two transforms, the
+    population inversion and the coherence, with working memory of about
+    200 B a time.  Scalars, non-uniform arrays, shorter grids, grids with
+    equal ends and the vacuum take the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums keep no digit, is refused
@@ -463,8 +444,12 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     p = w * w
     q = w[1:] * w[:-1]
     h = None
-    if w.size > 1 and T.size >= SPECTRAL_MIN_TIMES:
-        h = _grid_step(T)
+    if w.size > 1 and T.size >= SPECTRAL_MIN_TIMES and T.ndim == 1:
+        step = (T[-1] - T[0]) / (T.size - 1)
+        off = np.abs(T - (T[0] + step * np.arange(T.size)))
+        reach = max(abs(T[0]), abs(T[-1]), reach)
+        if step != 0.0 and off.max() <= _GRID_ULPS * np.spacing(reach):
+            h = step
     if h is None:
         rho_ee, rho_gg, coh = _direct_sums(p, q, root, T.reshape(-1))
     else:

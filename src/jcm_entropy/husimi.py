@@ -26,16 +26,17 @@ to the same shape, so each point's value is that of a scalar call, bit for
 bit; a scalar call pays for one block.  Every call runs one share loop:
 a call of four blocks or more is cut into two contiguous shares, the second
 on a thread of its own, and any other call is one share, on the calling
-thread.  The cut depends on the call's size alone, not on the host: in a
-process pinned to one CPU the two shares take turns, and the 2000-point
-oracle call at 64x128 takes 39.5 ms as two shares against 38.9 ms as one
-(medians of 60 interleaved calls; within 2% either way over four such
-runs).  Each share holds its own Q and Q ln Q buffers (512 KiB at
-64x128), so the two shares bound the memory, and no value depends on the
-cut.  Q ln Q is taken unchecked as log(Q) * Q; a block with
-a point whose value comes out non-finite is taken again by the checked
-path, which raises where any node's Q falls below ``Q_FLOOR`` (a NaN
-elsewhere in the block hides none) and otherwise clamps Q at 0 with
+thread.  The cut depends on the call's size alone, not on the host; on
+one CPU the two shares take turns.  On a 2-core Xeon the 2000-point
+oracle call at 64x128 took 33-39 ms as two shares and 39-54 ms as one; in
+a process pinned to one CPU, 39-51 ms as two shares and 36-49 ms as one,
+two shares 1-6% slower than one in each run (medians of 60 interleaved
+calls, in each of six runs).  Each share holds its own Q and Q ln Q
+buffers (512 KiB at 64x128), so the two shares bound the memory, and no
+value depends on the cut.  Q ln Q is taken unchecked as log(Q) * Q; a
+block with a point whose value comes out non-finite is taken again by the
+checked path, which raises where any node's Q falls below ``Q_FLOOR`` (a
+NaN elsewhere in the block hides none) and otherwise clamps Q at 0 with
 0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
 evaluated from (sx, sy, sz) at every node for every point, with no use of
 rotational symmetry, of eta, or of the closed form or the series.
@@ -137,27 +138,20 @@ class SphereQuadrature:
             w * (2.0 * math.pi / self.phi_order), self.phi_order))
 
 
-def _integrate(bloch: BlochVector, quad: SphereQuadrature):
-    """The quadrature sum of Q ln Q over the sphere, per point.
+def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
+    """Wehrl entropy -integral Q ln Q by direct spherical quadrature.
 
-    The points are stacked as rows [1, sz, sx, sy] and taken ``rows`` at a
-    time; a block's Q at every node is one product with ``quad.basis``.
-    Each block has the same shape: the last, and a lone point, are padded
-    with zero Bloch vectors (Q = 1/(4 pi) > 0), so a point's value does
-    not depend on the points that share its call.  Each point's sum is one
-    product of its Q ln Q with ``quad.weights``.  The blocks are cut by
-    the call's size alone, whatever the host's cores: four blocks or more
-    into two contiguous shares, fewer (a scalar, one to three blocks) into
-    one.  On one CPU the two shares cost about what one does (see the
-    module notes); two, each with its own buffers, bound the memory on any
-    host.  Every call runs the same loop over its shares: the calling
-    thread takes the first, and the second runs on a thread of its own, so
-    a one-share call starts none.  That thread is joined before the call
-    returns or raises, and the first failing share's error is raised; its
-    ``index`` counts from the call's first point, the share's offset and
-    the block's added, so it is the first failing point of the call.  A
-    share does the same operations on blocks of the same shape whatever the
-    cut, so no value depends on it.
+    The Bloch components are scalars or equal-length 1-D arrays; a scalar
+    Bloch vector gives a Python float.  The points are stacked as rows
+    [1, sz, sx, sy] and taken ``rows`` at a time, in blocks of one shape:
+    the last, and a lone point, are padded with zero Bloch vectors
+    (Q = 1/(4 pi) > 0).  The blocks are cut as the module notes say; the
+    calling thread takes the first share, and the second runs on a thread
+    of its own, so a one-share call starts none.  That thread is joined
+    before the call returns or raises, and the first failing share's error
+    is raised; its ``index`` counts from the call's first point, the
+    share's offset and the block's added, so it is the first failing point
+    of the call.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -191,7 +185,7 @@ def _integrate(bloch: BlochVector, quad: SphereQuadrature):
     for exc in errors:
         if exc is not None:
             raise exc
-    return out[:sz.size].reshape(shape)
+    return _item(-out[:sz.size].reshape(shape))
 
 
 def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature,
@@ -241,13 +235,4 @@ def _q_log_q(q: np.ndarray) -> np.ndarray:
     _refuse((q < Q_FLOOR).any(axis=1),
             lambda: "negative Q density at a node: Bloch vector outside the unit ball")
     return _xlogx(np.maximum(q, 0.0))
-
-
-def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
-    """Wehrl entropy -integral Q ln Q by direct spherical quadrature.
-
-    The Bloch components are scalars or equal-length 1-D arrays; a scalar
-    Bloch vector gives a Python float.
-    """
-    return _item(-_integrate(bloch, quad))
 

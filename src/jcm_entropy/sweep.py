@@ -59,11 +59,12 @@ def run_sweep(config: dynamics.SimulationConfig,
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
+    reach = max(abs(config.t_start), abs(config.t_end))  # the scale t is rounded at
     runs = -(-t.size // RUN_POINTS)
     for k in range(runs):
         lo, hi = k * t.size // runs, (k + 1) * t.size // runs
         try:
-            b = dynamics.bloch_vector(dynamics.reduced_density(amps, t[lo:hi]))
+            b = dynamics.bloch_vector(dynamics.reduced_density(amps, t[lo:hi], reach=reach))
             values = {**vars(b), **entropies.entropy_record(b.eta, config.series_tol)}
             if with_oracle:
                 values["wehrl_quadrature"] = husimi.wehrl_entropy_quadrature(b, quad)

@@ -542,6 +542,33 @@ class TestSpectralRoute:
         for j in (0, 1, 333, 998, 999):
             self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
+    def test_against_mpmath_at_the_stated_phase_edge(self, spectral_calls):
+        # T*sqrt(n_max+1) about 9.8e8, just under the 1e9 that SPECTRAL_TOL
+        # is stated up to
+        amps = coherent_amplitudes(30.0, 0.7, 1e-12)
+        T = np.linspace(2.8e7, 2.8e7 + 30.0, 4000)
+        assert 9.7e8 < T[-1] * math.sqrt(amps.n_max + 1) < 1e9
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        for j in (0, T.size // 2, T.size - 1):
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
+
+    def test_every_run_of_a_sweep_from_below_zero_is_spectral(self, spectral_calls):
+        # a run cut from linspace(-1, 1, 20000) is rounded at the scale of
+        # the grid's ends, 1: the run next to T = 0 is 6 ulps of its own
+        # ends off a uniform grid, and was summed directly
+        config = SimulationConfig(alpha_mag=30.0, alpha_phase=0.7, t_start=-1.0,
+                                  t_end=1.0, t_steps=20000)
+        result = run_sweep(config)
+        assert spectral_calls == 5 * [4000]
+        amps = coherent_amplitudes(30.0, 0.7, config.fock_tail_tol)
+        ee, gg, eg = direct_density(amps, result.data["t"])
+        # a Bloch component is twice an entry
+        for name, direct in (("sx", 2 * eg.real), ("sy", 2 * eg.imag), ("sz", ee - gg)):
+            assert np.abs(result.data[name] - direct).max() <= 2 * SPECTRAL_TOL, name
+
     def test_against_mpmath_at_a_grids_ends(self, spectral_calls):
         # the collapse-a30 grid starts past T = 0: its first and last times,
         # where the coherence's r_{n+1} - r_n frequencies are furthest off

@@ -113,7 +113,7 @@ class TestColumnarResult:
         calls = []
         real = dynamics.reduced_density
         monkeypatch.setattr(dynamics, "reduced_density",
-                            lambda amps, T: calls.append(np.size(T)) or real(amps, T))
+                            lambda amps, T, **kw: calls.append(np.size(T)) or real(amps, T, **kw))
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
         # a sweep's runs are the spectral route's blocks, each summed on its
@@ -230,9 +230,9 @@ class TestErrorContract:
     def test_names_first_failing_point_inside_a_later_chunk(self, monkeypatch, leak, check):
         real = dynamics.reduced_density
 
-        def leaky(amps, T):
+        def leaky(amps, T, **kw):
             excess = np.where(np.asarray(T) >= 2.0, 1.0, 0.0)
-            return AtomicDensityMatrix(*leak(real(amps, T), excess))
+            return AtomicDensityMatrix(*leak(real(amps, T, **kw), excess))
 
         monkeypatch.setattr(dynamics, "reduced_density", leaky)
         # 100 times, too few for the spectral route: the direct route's
@@ -268,10 +268,10 @@ class TestErrorContract:
         real_record, real_quadrature = entropies.entropy_record, husimi.wehrl_entropy_quadrature
         calls, times = [], []
 
-        def density(amps, T):
+        def density(amps, T, **kw):
             calls.append("reduced_density")
             times.append(T)
-            return real_density(amps, T)
+            return real_density(amps, T, **kw)
 
         def stretched(rho):  # outside the ball at the last point, eta as it was
             calls.append("bloch_vector")
@@ -311,9 +311,9 @@ class TestErrorContract:
         first_bad = np.linspace(0.0, 1.0, 101)[70]
         times = []
 
-        def recorded(amps, T):
+        def recorded(amps, T, **kw):
             times.append(np.asarray(T))
-            return real_density(amps, T)
+            return real_density(amps, T, **kw)
 
         def stretched(rho):
             b = real_bloch(rho)

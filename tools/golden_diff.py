@@ -16,7 +16,10 @@ window the tail bound widens past the ``10|alpha| + 20`` floor (every other
 runs at the default 1e-12, where the floor decides), and |alpha| = 1e-150
 from a negative integral ``t`` as CSV and JSON, whose text takes layouts no
 other config reaches: three exponent digits (``sy`` about 1.7e-150), ``-0``
-and ``-0.0``, and ``-2`` and ``-2.0``.  Three configs exit 1, so that
+and ``-0.0``, and ``-2`` and ``-2.0``, and ``negative-start-runs``,
+|alpha| = 30 on [-1, 1] at 20000 points, five runs whose middle one, next
+to T = 0, is off a uniform grid by ulps of the grid's ends, not its own,
+and is spectral like the rest.  Three configs exit 1, so that
 their exit codes and error text are compared: ``term-cap``, a series
 tolerance that the eta = 1 row cannot meet; ``phase-limit``, Rabi phases
 past 2**53; and ``series-index``, |alpha| = 7 on 2000 points at
@@ -85,6 +88,8 @@ CONFIGS = {
                 "--t-steps", "200"],
     "layouts-json": ["--alpha-mag", "1e-150", "--t-start", "-2", "--t-end", "30",
                      "--t-steps", "200", "--format", "structured"],
+    "negative-start-runs": ["--alpha-mag", "30", "--t-start", "-1", "--t-end", "1",
+                            "--t-steps", "20000"],
     "term-cap": ["--alpha-mag", "2", "--t-steps", "5", "--series-tol", "1e-19"],
     "phase-limit": ["--alpha-mag", "7", "--t-start", "1e300", "--t-end", "1e301",
                     "--t-steps", "3"],

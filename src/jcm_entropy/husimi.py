@@ -23,18 +23,14 @@ Q at every node as one matrix product with the basis, and each point's
 sum as one product of its Q ln Q with the weights.  Points are taken
 ``QUAD_ELEMENTS`` nodes at a time (4 points at 64x128), every block padded
 to the same shape, so each point's value is that of a scalar call, bit for
-bit; a scalar call pays for one block.  Every call runs one share loop:
-a call of four blocks or more is cut into two contiguous shares, the second
-on a thread of its own, and any other call is one share, on the calling
-thread.  The cut depends on the call's size alone, not on the host; on
-one CPU the two shares take turns.  On a 2-core Xeon the 2000-point
-oracle call at 64x128 took 33-39 ms as two shares and 39-54 ms as one; in
-a process pinned to one CPU, 39-51 ms as two shares and 36-49 ms as one,
-two shares 1-6% slower than one in each run (medians of 60 interleaved
-calls, in each of six runs).  Each share holds its own Q and Q ln Q
-buffers (512 KiB at 64x128), so the two shares bound the memory, and no
-value depends on the cut.  Q ln Q is taken unchecked as log(Q) * Q; a
-block with a point whose value comes out non-finite is taken again by the
+bit; a scalar call pays for one block.  A call of four blocks or more is
+cut into two contiguous shares of whole blocks, the second on a thread of
+its own, and any other call is one share, on the calling thread.  The cut
+depends on the call's size alone, not on the host; on one CPU the two
+shares take turns.  Each share holds its own Q and Q ln Q buffers
+(512 KiB at 64x128), so the two shares bound the memory, and no value
+depends on the cut.  Q ln Q is taken unchecked as log(Q) * Q; a block
+with a point whose value comes out non-finite is taken again by the
 checked path, which raises where any node's Q falls below ``Q_FLOOR`` (a
 NaN elsewhere in the block hides none) and otherwise clamps Q at 0 with
 0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
@@ -145,87 +141,78 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
     Bloch vector gives a Python float.  The points are stacked as rows
     [1, sz, sx, sy] and taken ``rows`` at a time, in blocks of one shape:
     the last, and a lone point, are padded with zero Bloch vectors
-    (Q = 1/(4 pi) > 0).  The blocks are cut as the module notes say; the
-    calling thread takes the first share, and the second runs on a thread
-    of its own, so a one-share call starts none.  That thread is joined
-    before the call returns or raises, and the first failing share's error
-    is raised; its ``index`` counts from the call's first point, the
-    share's offset and the block's added, so it is the first failing point
-    of the call.
+    (Q = 1/(4 pi) > 0).  The calling thread takes the points ``[0, cut)``.
+    In a call of four blocks or more, ``cut`` follows the first half of the
+    blocks, rounded down, and a thread of its own takes the rest, joined
+    before the call returns or raises; in any other call ``cut`` is the
+    end.  The first failing share's error is raised; its ``index`` counts
+    from the call's first point, so it is the first failing point of the
+    call.
+
+    A share takes Q and Q ln Q in buffers of its own, with floating-point
+    warnings off.  Q ln Q is taken as ``log(Q) * Q``, and each point's sum
+    as one stacked product of its row with ``quad.weights``; a flat product
+    of the block with the weights would round a point's sum by the block's
+    row count.  A block with a point whose value comes out non-finite (a
+    node at or below 0, or a non-finite input) is taken again through
+    ``_q_log_q``, the checked path, which tests every node against the
+    floor and gives the same bits wherever Q > 0, so every value is the
+    checked path's.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
     shape = sz.shape
-    rows = max(1, QUAD_ELEMENTS // quad.basis.shape[1])
+    nodes = quad.weights.size
+    rows = max(1, QUAD_ELEMENTS // nodes)
     blocks = -(-sz.size // rows)
-    coords = np.zeros((blocks * rows, 4))
+    end = blocks * rows
+    coords = np.zeros((end, 4))
     coords[:, 0] = 1.0
     for k, c in enumerate((sz, sx, sy), start=1):
         coords[:sz.size, k] = c.reshape(-1)
-    out = np.empty(coords.shape[0])
-    workers = 2 if blocks >= 4 else 1
-    cuts = [blocks * k // workers * rows for k in range(workers + 1)]
-    errors = [None] * workers
+    out = np.empty(end)
+    cut = blocks // 2 * rows if blocks >= 4 else end
+    failed = {}  # a share's first point -> its error, raised by the caller
 
-    def share(k):
-        lo, hi = cuts[k], cuts[k + 1]
+    def share(lo: int, hi: int) -> None:
+        """``out[i]``, the quadrature sum for the point ``coords[i]``, for
+        the whole blocks in ``[lo, hi)``."""
         try:
-            _integrate_share(coords[lo:hi], out[lo:hi], quad, rows, lo)
-        except Exception as exc:  # raised by the caller, in grid order
-            errors[k] = exc
+            q = np.empty((rows, nodes))
+            q_log_q = np.empty_like(q)
+            with np.errstate(all="ignore"):
+                for b in range(lo, hi, rows):
+                    np.matmul(coords[b:b + rows], quad.basis, out=q)
+                    np.log(q, out=q_log_q)
+                    q_log_q *= q
+                    np.matmul(q_log_q.reshape(rows, 1, nodes), quad.weights,
+                              out=out[b:b + rows].reshape(rows, 1))
+                # the blocks with a non-finite value; a share spans whole blocks
+                redo = np.flatnonzero(~np.isfinite(out[lo:hi]).reshape(-1, rows).all(axis=1))
+                for b in (lo + redo * rows).tolist():
+                    np.matmul(coords[b:b + rows], quad.basis, out=q)
+                    try:
+                        checked = _q_log_q(q)
+                    except DomainError as exc:  # its index, if any, is a row of the block
+                        if exc.index is not None:
+                            exc.index += b
+                        raise
+                    np.matmul(checked.reshape(rows, 1, nodes), quad.weights,
+                              out=out[b:b + rows].reshape(rows, 1))
+        except Exception as exc:
+            failed[lo] = exc
 
-    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
+    if cut < end:
+        thread = threading.Thread(target=share, args=(cut, end))
         thread.start()
     try:
-        share(0)
+        share(0, cut)
     finally:
-        for thread in threads:
+        if cut < end:
             thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if failed:
+        raise failed[min(failed)]
     return _item(-out[:sz.size].reshape(shape))
-
-
-def _integrate_share(coords: np.ndarray, out: np.ndarray, quad: SphereQuadrature,
-                     rows: int, start: int) -> None:
-    """``out[i]``, the quadrature sum for the point ``coords[i]``, over a
-    whole number of blocks of ``rows`` points (none for an empty call), the
-    first being point ``start`` of the call, from which an error's ``index``
-    counts.
-
-    Q and Q ln Q take buffers allocated once, with floating-point warnings
-    off.  Q ln Q is taken as ``log(Q) * Q``, and each point's sum as one
-    stacked product of its row with ``quad.weights``; a flat product of the
-    block with the weights would round a point's sum by the block's row
-    count.  A block with a point whose value comes out non-finite (a node at
-    or below 0, or a non-finite input) is taken again through ``_q_log_q``,
-    the checked path, which tests every node against the floor and gives the
-    same bits wherever Q > 0, so every value is the checked path's.
-    """
-    nodes = quad.weights.size
-    q = np.empty((rows, nodes))
-    q_log_q = np.empty_like(q)
-    with np.errstate(all="ignore"):
-        for lo in range(0, coords.shape[0], rows):
-            np.matmul(coords[lo:lo + rows], quad.basis, out=q)
-            np.log(q, out=q_log_q)
-            q_log_q *= q
-            np.matmul(q_log_q.reshape(rows, 1, nodes), quad.weights,
-                      out=out[lo:lo + rows].reshape(rows, 1))
-        # the blocks with a non-finite value; a share spans whole blocks
-        redo = np.flatnonzero(~np.isfinite(out).reshape(-1, rows).all(axis=1))
-        for lo in (redo * rows).tolist():
-            np.matmul(coords[lo:lo + rows], quad.basis, out=q)
-            try:
-                checked = _q_log_q(q)
-            except DomainError as exc:  # its index, if any, is a row of the block
-                if exc.index is not None:
-                    exc.index += start + lo
-                raise
-            np.matmul(checked.reshape(rows, 1, nodes), quad.weights,
-                      out=out[lo:lo + rows].reshape(rows, 1))
 
 
 def _q_log_q(q: np.ndarray) -> np.ndarray:

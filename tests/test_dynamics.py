@@ -855,6 +855,7 @@ class TestSimulationConfig:
         ("alpha_mag", 1e8), ("alpha_mag", 1e155),
         ("alpha_phase", float("inf")),
         ("fock_tail_tol", 0.0), ("fock_tail_tol", 1.0), ("fock_tail_tol", float("nan")),
+        ("fock_tail_tol", 5e-324),
         ("quad_theta_order", 1), ("quad_phi_order", 3)])
     def test_checked_in_one_place(self, name, value):
         # the config and the routine that takes the input give the same error

@@ -371,6 +371,24 @@ class TestWorkers:
         caller = threading.current_thread()
         assert str(raised.value) == (caller if first_share else worker).name
 
+    def test_second_share_fails_while_it_sets_up(self, monkeypatch, started_threads):
+        # its buffers are allocated inside its error capture, so the caller
+        # raises the error and the thread is joined
+        real = np.empty
+
+        def empty(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("second share")
+            return real(*args, **kwargs)
+
+        sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
+        before = threading.active_count()
+        monkeypatch.setattr(husimi.np, "empty", empty)
+        with pytest.raises(MemoryError):
+            wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), SphereQuadrature(64, 128))
+        assert len(started_threads) == 1
+        assert threading.active_count() == before
+
 
 def outcome(f, b, quad):
     """``f(b, quad)``, or the text of the DomainError it raises."""

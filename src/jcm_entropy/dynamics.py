@@ -15,7 +15,6 @@ SIAM Rev. 46, 443 (2004)); every other input takes the direct sums.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 import sys
@@ -207,10 +206,13 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     from the edge term, whose ln p_n ``_log_poisson_bound`` bounds.  For a
     tolerance of 1e-21 or more the floor alone sets the window.  The weights
     |C_n| are built by the ratio recurrence outward from the mode
-    floor(|alpha|^2), starting from 1 there, and then renormalized, so
-    nothing underflows at large |alpha|.
+    floor(|alpha|^2), starting from 1 there, and then renormalized by an
+    exactly rounded fsum, so nothing underflows at large |alpha|.  The three
+    inputs are taken as Python floats (a float32 |alpha| as its double).
     """
     _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol)
+    alpha_mag, alpha_phase, fock_tail_tol = (
+        float(alpha_mag), float(alpha_phase), float(fock_tail_tol))
     if alpha_mag == 0.0:
         return FockAmplitudes(np.ones(1), 0, 0, alpha_phase, 0.0)
 
@@ -239,10 +241,7 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
     # |C_{n+1}| = |C_n| |alpha|/sqrt(n+1) above the mode, the inverse below
     weights[k + 1:] = np.cumprod(alpha_mag / np.sqrt(n[k + 1:]))
     weights[:k] = np.cumprod(np.sqrt(n[k:0:-1]) / alpha_mag)[::-1]
-    # fsum's exactly rounded sum, fed a block of Python floats at a time
-    squares = itertools.chain.from_iterable(
-        np.square(weights[i:i + 4096]).tolist() for i in range(0, weights.size, 4096))
-    weights /= math.sqrt(math.fsum(squares))
+    weights /= math.sqrt(math.fsum(memoryview(np.square(weights))))
     return FockAmplitudes(weights, n_min, n_max, alpha_phase, tail_mass)
 
 

@@ -114,10 +114,10 @@ def _render_structured(result: SweepResult) -> list[bytes]:
 def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> None:
     """Write a sweep as CSV or structured JSON, to a path or stdout.
 
-    The text is rendered fully before any byte reaches the destination, so
-    a failure can never leave a header without rows behind.  It is written
-    as bytes: to the binary buffer under ``sys.stdout`` (after flushing the
-    text layer), or as text to a stdout that has none.
+    The text is rendered before any byte is written, so only a render
+    failure leaves nothing written; a write failing partway leaves what it
+    wrote.  It is written as bytes: to the binary buffer under ``sys.stdout``
+    (after flushing the text layer), or as text to a stdout that has none.
     """
     if format == "csv":
         parts = _render_csv(result)

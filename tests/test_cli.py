@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -90,6 +91,27 @@ class TestEmit:
     def test_bad_destination(self, small_sweep, tmp_path):
         with pytest.raises(OSError):
             emit(small_sweep, format="csv", path=str(tmp_path / "no" / "dir.csv"))
+
+    def test_failed_write_leaves_what_was_written(self, tmp_path):
+        # the text is rendered before the file is opened, but a write that
+        # fails partway leaves the bytes written so far: here the file-size
+        # limit cuts the file after the header, 20 rows and part of a row
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        args = ["--alpha-mag", "7", "--t-steps", "3000"]
+        assert main([*args, "--output", str(full)]) == 0
+        proc = _python("-c", textwrap.dedent(f"""
+            import resource, signal, sys
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE,
+                               (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+            from jcm_entropy.cli import main
+            sys.exit(main({[*args, "--output", str(cut)]!r}))"""))
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (f"jcm-entropy: cannot write sweep output to "
+                                        f"{str(cut)!r}: [Errno 27] File too large\n")
+        text = cut.read_bytes()
+        assert len(text) == 4096 and text == full.read_bytes()[:4096]
+        assert text.count(b"\n") == 21 and text.startswith(BASE_HEADER.encode() + b"\n")
 
     def test_unknown_format(self, small_sweep):
         with pytest.raises(ValueError):

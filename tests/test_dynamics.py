@@ -230,7 +230,8 @@ class TestCoherentAmplitudes:
     def test_normalizing_builds_no_list_of_all_the_weights(self):
         # math.fsum over one list of the squares, a Python float per weight,
         # peaked at 7 times the weights' bytes: about 94 GiB at ALPHA_MAX.
-        # Fed a block at a time, the same exactly rounded sum keeps the bits.
+        # Over a memoryview of the squares, the same exactly rounded sum keeps
+        # the bits.
         alpha_mag = 1e4
         tracemalloc.start()
         try:
@@ -246,6 +247,19 @@ class TestCoherentAmplitudes:
         raw[k + 1:] = np.cumprod(alpha_mag / np.sqrt(n[k + 1:]))
         raw[:k] = np.cumprod(np.sqrt(n[k:0:-1]) / alpha_mag)[::-1]
         np.testing.assert_array_equal(w, raw / math.sqrt(math.fsum((raw * raw).tolist())))
+
+    @pytest.mark.parametrize("alpha_mag,tol", [(1000.0, 1e-40), (1e4, 1e-12)])
+    def test_float32_alpha_is_taken_as_its_double(self, alpha_mag, tol):
+        # a float32 |alpha| kept the window arithmetic in float32 (numpy 2
+        # promotion): n_min 986388 for 986387 here, and at 1e4 the window
+        # 99899984..100100016 for 99899980..100100020
+        single = np.float32(alpha_mag)
+        amps = coherent_amplitudes(single, 0.0, tol)
+        ref = coherent_amplitudes(float(single), 0.0, tol)
+        assert (amps.n_min, amps.n_max, amps.tail_mass.hex()) == \
+            (ref.n_min, ref.n_max, ref.tail_mass.hex())
+        assert type(amps.tail_mass) is float and type(amps.phase) is float
+        assert amps.weights.tobytes() == ref.weights.tobytes()
 
     def test_vacuum(self):
         amps = coherent_amplitudes(0.0, 0.0, 1e-12)
@@ -389,6 +403,13 @@ class TestReducedDensity:
             b_t = bloch_vector(rho_t)
             assert (b.sx[i], b.sy[i], b.sz[i], b.eta[i]) == \
                 (b_t.sx, b_t.sy, b_t.sz, b_t.eta)
+
+    def test_float32_times_are_taken_as_doubles(self):
+        amps = coherent_amplitudes(7.0, 0.9, 1e-12)
+        T = np.linspace(0.0, 45.0, 37, dtype=np.float32)
+        got, want = reduced_density(amps, T), reduced_density(amps, T.astype(float))
+        for name in ("rho_ee", "rho_gg", "rho_eg"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def phase_digit_limit(amps):

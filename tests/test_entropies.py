@@ -460,6 +460,12 @@ class TestArrayPath:
         assert np.array_equal(g, rec["gamma_norm"])
         assert np.array_equal(w, rec["wehrl_norm"])
 
+    def test_float32_eta_is_taken_as_its_double(self):
+        etas = np.array(self.ETAS, dtype=np.float32)
+        got, want = entropy_record(etas), entropy_record(etas.astype(float))
+        for name, value in want.items():
+            assert got[name].tobytes() == value.tobytes(), name
+
     def test_zero_d_array_gives_float(self):
         assert type(wehrl_entropy_closed(np.float64(0.5))) is float
         assert type(linear_entropy(np.array(0.5))) is float

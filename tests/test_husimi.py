@@ -144,6 +144,13 @@ class TestWehrlQuadrature:
         got = wehrl_entropy_quadrature(bloch(0.73, 0, 0), SphereQuadrature(128, 256))
         assert got == pytest.approx(wehrl_entropy_closed(0.73), abs=1e-8)
 
+    def test_float32_components_are_taken_as_doubles(self):
+        single = np.float32([0.3, -0.2, 0.5])
+        quad = SphereQuadrature(16, 32)
+        got = wehrl_entropy_quadrature(bloch(*single), quad)
+        want = wehrl_entropy_quadrature(bloch(*single.tolist()), quad)
+        assert type(got) is float and got == want
+
     def test_oracle_equivalence_grid(self):
         quad = SphereQuadrature(128, 256)
         for eta in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]:

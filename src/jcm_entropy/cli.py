@@ -16,6 +16,11 @@ from .errors import DomainError, PrecisionLossError
 from .sweep import emit, run_sweep
 
 
+def _default(name: str) -> str:
+    """A help line's note of a sweep default, as SimulationConfig declares it."""
+    return f"default {getattr(SimulationConfig, name)!r}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     # an option left out is left out of the namespace too, so that every
     # sweep default is the one SimulationConfig declares
@@ -27,24 +32,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-mag", type=float, required=True,
                    help="coherent amplitude |alpha| (required)")
     p.add_argument("--alpha-phase", type=float,
-                   help="coherent phase in radians (default 0)")
-    p.add_argument("--t-start", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--t-steps", type=int)
+                   help=f"coherent phase in radians ({_default('alpha_phase')})")
+    p.add_argument("--t-start", type=float,
+                   help=f"first scaled time T of the grid ({_default('t_start')})")
+    p.add_argument("--t-end", type=float,
+                   help=f"last scaled time T of the grid ({_default('t_end')})")
+    p.add_argument("--t-steps", type=int,
+                   help=f"number of evenly spaced grid points ({_default('t_steps')})")
     p.add_argument("--fock-tol", type=float, dest="fock_tail_tol", metavar="FOCK_TOL",
-                   help="Poisson tail mass allowed beyond Fock truncation")
+                   help="Poisson tail mass allowed beyond Fock truncation "
+                        f"({_default('fock_tail_tol')})")
     p.add_argument("--series-tol", type=float,
-                   help="relative change at which the series stops refining (>= 2e-15)")
+                   help="relative change at which the series stops refining "
+                        f"(>= 2e-15, {_default('series_tol')})")
     p.add_argument("--quad-theta", type=int, dest="quad_theta_order",
                    metavar="QUAD_THETA",
-                   help="Gauss-Legendre order for the oracle quadrature (>= 2)")
+                   help="Gauss-Legendre order for the oracle quadrature "
+                        f"(>= 2, {_default('quad_theta_order')})")
     p.add_argument("--quad-phi", type=int, dest="quad_phi_order", metavar="QUAD_PHI",
-                   help="azimuthal order for the oracle quadrature (>= 4)")
+                   help="azimuthal order for the oracle quadrature "
+                        f"(>= 4, {_default('quad_phi_order')})")
     p.add_argument("--with-oracle", action="store_true", default=False,
                    help="add the (slow) spherical-quadrature Wehrl column")
-    p.add_argument("--format", choices=("csv", "structured"), default="csv")
+    p.add_argument("--format", choices=("csv", "structured"), default="csv",
+                   help="CSV, or JSON with a config echo (default %(default)s)")
     p.add_argument("--output", default=None, metavar="PATH",
-                   help="output file (default stdout)")
+                   help="file to write the sweep to, in place of stdout")
     return p
 
 

@@ -114,10 +114,10 @@ def _render_structured(result: SweepResult) -> list[bytes]:
 def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> None:
     """Write a sweep as CSV or structured JSON, to a path or stdout.
 
-    The text is rendered before any byte is written, so only a render
-    failure leaves nothing written; a write failing partway leaves what it
-    wrote.  It is written as bytes: to the binary buffer under ``sys.stdout``
-    (after flushing the text layer), or as text to a stdout that has none.
+    The text is rendered before any byte is written, so only a render failure
+    leaves nothing written; a failed write leaves what it wrote and raises
+    OSError naming the path or stdout.  Parts go as bytes to the file or to
+    ``sys.stdout.buffer``, or as text to a stdout with no buffer.
     """
     if format == "csv":
         parts = _render_csv(result)
@@ -126,16 +126,15 @@ def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> N
     else:
         raise ValueError(f"unknown format {format!r}")
 
-    if path is None:
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
-            sys.stdout.write(b"".join(parts).decode())
-        else:
+    try:
+        if path is not None:
+            with open(path, "wb") as fh:
+                fh.writelines(parts)
+        elif (buffer := getattr(sys.stdout, "buffer", None)) is not None:
             sys.stdout.flush()
             buffer.writelines(parts)
-        return
-    try:
-        with open(path, "wb") as fh:
-            fh.writelines(parts)
+        else:
+            sys.stdout.writelines(part.decode() for part in parts)
     except OSError as exc:
-        raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc
+        dest = "stdout" if path is None else repr(path)
+        raise OSError(f"cannot write sweep output to {dest}: {exc}") from exc

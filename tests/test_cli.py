@@ -1,19 +1,22 @@
 import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jcm_entropy import DomainError, SimulationConfig, emit, run_sweep
-from jcm_entropy.cli import entry, main
+from jcm_entropy.cli import build_parser, entry, main
 from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 
 BASE_HEADER = "t,sx,sy,sz,eta,xi,gamma,wehrl_closed,wehrl_series,gamma_norm,wehrl_norm"
@@ -116,6 +119,34 @@ class TestEmit:
     def test_unknown_format(self, small_sweep):
         with pytest.raises(ValueError):
             emit(small_sweep, format="yaml")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_is_named(self):
+        # a failed write to stdout names its destination, as one to a path does
+        with open("/dev/full", "wb") as full:
+            proc = _python("-m", "jcm_entropy.cli", "--alpha-mag", "7", "--t-steps", "300",
+                           stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == ("jcm-entropy: cannot write sweep output to stdout: "
+                                        "[Errno 28] No space left on device\n")
+
+    def test_failed_stdout_write_is_named(self, small_sweep, monkeypatch):
+        # both ways to stdout: its binary buffer, and a text stdout with none
+        def raiser(exc):
+            def fail(*args):
+                raise exc
+            return fail
+
+        broken_pipe = SimpleNamespace(flush=lambda: None, buffer=SimpleNamespace(
+            writelines=raiser(BrokenPipeError(32, "Broken pipe"))))
+        no_buffer = io.StringIO()
+        no_buffer.write = raiser(OSError(5, "Input/output error"))
+        for stdout, error in [(broken_pipe, "[Errno 32] Broken pipe"),
+                              (no_buffer, "[Errno 5] Input/output error")]:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(OSError) as exc:
+                emit(small_sweep)
+            assert str(exc.value) == f"cannot write sweep output to stdout: {error}"
 
 
 class TestMain:
@@ -263,14 +294,32 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"] == asdict(SimulationConfig(alpha_mag=0.5))
 
+    def test_help_quotes_the_config_defaults(self, capsys):
+        # every flag has a help line, and each default one quotes is the one
+        # SimulationConfig declares, or the parser's own for --format
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+        helps = dict(re.findall(r"(--[a-z-]+)(?: [A-Z_]+| \{[a-z,]+\})? (.*?)(?= --|$)",
+                                options))
+        actions = {a.option_strings[-1]: a for a in build_parser()._actions}
+        assert sorted(helps) == sorted(actions) and all(helps.values())
+        quoted = {actions[flag].dest: m[1] for flag, text in helps.items()
+                  if (m := re.search(r"\bdefault (\S+?)\)", text))}
+        declared = {f.name: repr(f.default) for f in fields(SimulationConfig)
+                    if f.default is not MISSING}
+        assert quoted == {**declared, "format": "csv"}
 
-def _python(*args):
+
+def _python(*args, stdout=subprocess.PIPE):
     """``python *args`` in a fresh interpreter, with this tree's ``src`` on
-    the path."""
+    the path; stderr is captured, and stdout too unless it is given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
 
 
 def _loaded(code):

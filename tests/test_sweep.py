@@ -379,6 +379,23 @@ def test_working_memory_is_bounded(alpha_mag, t_steps):
     assert working_memory(config) <= 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("alpha_mag,t_start,t_end,t_steps,runs", [
+    (200.0, 0.0, 30.0, 127, [127]), (30.0, 3.0, 3.0, 20000, [4000] * 5)],
+    ids=["short-grid", "zero-step"])
+def test_direct_route_working_memory_is_bounded(monkeypatch, alpha_mag, t_start, t_end,
+                                                t_steps, runs):
+    # 0.53 and 0.69 MiB: a grid too short for the spectral route, and one of
+    # zero step, take the direct sums, CHUNK_ELEMENTS phases at a time
+    direct = []
+    real_direct = dynamics._direct_sums
+    monkeypatch.setattr(dynamics, "_direct_sums",
+                        lambda *args: direct.append(args[-1].size) or real_direct(*args))
+    config = SimulationConfig(alpha_mag=alpha_mag, t_start=t_start, t_end=t_end,
+                              t_steps=t_steps)
+    assert working_memory(config) <= 2 * 2 ** 20
+    assert direct == runs
+
+
 def test_oracle_working_memory_is_bounded():
     # a block's Q and Q ln Q are 512 KiB together, whatever the grid length
     config = SimulationConfig(alpha_mag=7.0, t_end=30.0, t_steps=2000)

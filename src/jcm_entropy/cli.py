@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 
@@ -92,7 +93,12 @@ def entry() -> None:
     # a one-shot run: move what import made out of the collector's reach, so
     # neither the run's collections nor the one at exit walk it again
     gc.freeze()
-    sys.exit(main())
+    status = main()
+    if status:
+        # a failed write to stdout may leave text in its buffer: point fd 1
+        # at the null device, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

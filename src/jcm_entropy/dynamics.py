@@ -106,6 +106,9 @@ class SimulationConfig:
         for name in ("t_start", "t_end"):
             _require_finite(name, getattr(self, name))
         _check_count("t_steps", self.t_steps, 1)
+        if self.t_steps > 2 ** 53:
+            raise DomainError(f"t_steps must be <= 2**53, where np.linspace's float "
+                              f"indices stay exact, got {self.t_steps!r}")
         span = float(self.t_end) - float(self.t_start)  # overflows to inf, silently
         if not 0.0 <= span < math.inf:
             raise DomainError(f"t_end - t_start must be finite and >= 0, got {span!r}")
@@ -259,7 +262,7 @@ CHUNK_ELEMENTS = 2 ** 13
 # initial state.
 SPECTRAL_MIN_TIMES = 2 ** 7
 SPECTRAL_TOL = 1e-13
-_GRID_ULPS = 4           # most |T[j] - (T[0] + j*h)| on a uniform grid, in ulps
+_GRID_ULPS = 4           # most |T[j] - (T[0] + j*h)|, in ulps of T's larger |end|
 # a phase's ulp is 2 radians or more from here on; the limit also keeps the
 # spectral route's exact products far below their overflow at about 1.3e300
 _PHASE_LIMIT = 2.0 ** 53
@@ -395,7 +398,7 @@ def _spectral_sums(p, q, n1, root, T, h):
     return 0.5 * (total + inversion), 0.5 * (total - inversion), 0.5 * sine
 
 
-def reduced_density(amps: FockAmplitudes, T, *, reach: float = 0.0) -> AtomicDensityMatrix:
+def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     """Reduced atomic density matrix of the resonant model at scaled time T.
 
     T is a scalar or a 1-D array.  With p_n = |C_n|^2 and
@@ -410,19 +413,16 @@ def reduced_density(amps: FockAmplitudes, T, *, reach: float = 0.0) -> AtomicDen
     T grows: by up to 4e-11 at |alpha| = 1000, T = 3 revival times.
 
     Spectral route (``_spectral_sums``), taken on every uniform 1-D grid
-    with a nonzero step (``np.linspace`` output or a run of its points) of
-    at least ``SPECTRAL_MIN_TIMES`` times, on a basis of more than one
-    term.  Uniform means that each T[j] lies within ``_GRID_ULPS`` ulps of
-    T[0] + j*h, ulps of the larger of ``reach`` and T's |ends|: a run cut
-    from a longer ``np.linspace`` grid is rounded at the scale of that
-    grid's larger |end|, which is what ``run_sweep`` passes as ``reach``.
-    It forms every phase and node exactly, so each entry lies within
-    ``SPECTRAL_TOL`` of the exact sums at any grid length while
-    T*sqrt(n_max+1) stays below 1e9.  Phases from 1e9 up to the 2**53
-    refusal are accepted with no stated tolerance: at |alpha| = 30 an entry
-    was 6.1e-10 off at phase 3.5e11 (the worst of one 4000-time grid, a
-    sample, not a bound) and 5.6e-3 off at 3.5e15, the second-order
-    remainders of the first-order phase and skew corrections.
+    with a nonzero step of at least ``SPECTRAL_MIN_TIMES`` times, on a
+    basis of more than one term: each T[j] within ``_GRID_ULPS`` ulps (of
+    T's larger |end|) of T[0] + j*h, as in every ``np.linspace`` output and
+    so in every run of ``run_sweep``.  It forms every phase and node
+    exactly, so each entry lies within ``SPECTRAL_TOL`` of the exact sums
+    at any grid length while T*sqrt(n_max+1) stays below 1e9.  Phases from
+    1e9 up to the 2**53 refusal are accepted with no stated tolerance: at
+    |alpha| = 30 an entry was 6.1e-10 off at phase 3.5e11 (the worst of one
+    4000-time grid, a sample, not a bound) and 5.6e-3 off at 3.5e15, the
+    second-order remainders of the first-order phase and skew corrections.
     A grid starting at T = 0 gets there the exact initial state, the direct
     route's bits.  It sums the grid as one block by two transforms, the
     population inversion and the coherence, with working memory of about
@@ -451,9 +451,8 @@ def reduced_density(amps: FockAmplitudes, T, *, reach: float = 0.0) -> AtomicDen
     h = None
     if w.size > 1 and T.size >= SPECTRAL_MIN_TIMES and T.ndim == 1:
         step = (T[-1] - T[0]) / (T.size - 1)
-        off = np.abs(T - (T[0] + step * np.arange(T.size)))
-        reach = max(abs(T[0]), abs(T[-1]), reach)
-        if step != 0.0 and off.max() <= _GRID_ULPS * np.spacing(reach):
+        off = np.abs(T - (T[0] + step * np.arange(T.size))).max()
+        if step != 0.0 and off <= _GRID_ULPS * np.spacing(max(abs(T[0]), abs(T[-1]))):
             h = step
     if h is None:
         rho_ee, rho_gg, coh = _direct_sums(p, q, root, T.reshape(-1))

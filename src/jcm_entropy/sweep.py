@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import sys
 from dataclasses import asdict, dataclass
 
@@ -41,7 +42,11 @@ def run_sweep(config: dynamics.SimulationConfig,
     most one, so temporaries grow with that, not the grid; for each run the
     Bloch vector, the entropies and, when ``with_oracle`` is set, the slow
     spherical quadrature are each computed at once, into columns allocated
-    for the whole grid.
+    for the whole grid.  Each run's points are ``np.linspace`` of its own
+    ends, so each takes the spectral route: ``t`` is ``np.linspace(t_start,
+    t_end, t_steps)`` on a sweep of one run, and inside the runs of a longer
+    one moves off it by up to 3 ulps of its larger |end| (the worst of 20000
+    random grids; 1 on most).
 
     No stage runs twice.  A DomainError or PrecisionLossError is raised
     again, as an error of its type, as ``at T = <t>: <its message>``: <t>
@@ -59,12 +64,12 @@ def run_sweep(config: dynamics.SimulationConfig,
     t = np.linspace(config.t_start, config.t_end, config.t_steps)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
     data = {"t": t, **{name: np.empty(t.size) for name in columns[1:]}}
-    reach = max(abs(config.t_start), abs(config.t_end))  # the scale t is rounded at
     runs = -(-t.size // RUN_POINTS)
     for k in range(runs):
         lo, hi = k * t.size // runs, (k + 1) * t.size // runs
+        t[lo:hi] = np.linspace(t[lo], t[hi - 1], hi - lo)  # uniform on its own ends
         try:
-            b = dynamics.bloch_vector(dynamics.reduced_density(amps, t[lo:hi], reach=reach))
+            b = dynamics.bloch_vector(dynamics.reduced_density(amps, t[lo:hi]))
             values = {**vars(b), **entropies.entropy_record(b.eta, config.series_tol)}
             if with_oracle:
                 values["wehrl_quadrature"] = husimi.wehrl_entropy_quadrature(b, quad)
@@ -117,7 +122,8 @@ def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> N
     The text is rendered before any byte is written, so only a render failure
     leaves nothing written; a failed write leaves what it wrote and raises
     OSError naming the path or stdout.  Parts go as bytes to the file or to
-    ``sys.stdout.buffer``, or as text to a stdout with no buffer.
+    ``sys.stdout.buffer``, flushed before this returns, or as text to a
+    stdout with no buffer; a closed stdout fails as a closed fd does.
     """
     if format == "csv":
         parts = _render_csv(result)
@@ -130,9 +136,12 @@ def emit(result: SweepResult, format: str = "csv", path: str | None = None) -> N
         if path is not None:
             with open(path, "wb") as fh:
                 fh.writelines(parts)
+        elif sys.stdout is None:  # Python's stdout where fd 1 was closed
+            raise OSError(errno.EBADF, "Bad file descriptor")
         elif (buffer := getattr(sys.stdout, "buffer", None)) is not None:
             sys.stdout.flush()
             buffer.writelines(parts)
+            buffer.flush()  # so that a failure is this write's, not the exit's
         else:
             sys.stdout.writelines(part.decode() for part in parts)
     except OSError as exc:

@@ -130,6 +130,34 @@ class TestEmit:
         assert proc.stderr.decode() == ("jcm-entropy: cannot write sweep output to stdout: "
                                         "[Errno 28] No space left on device\n")
 
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_buffered_stdout_failure_is_named(self, sink):
+        # with PYTHONUNBUFFERED unset, 5 rows stay in stdout's buffer: they
+        # were flushed at exit only, which failed with "Exception ignored"
+        # and exit status 120
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout, error = open("/dev/full", "wb"), "[Errno 28] No space left on device"
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            stdout, error = os.fdopen(write, "wb"), "[Errno 32] Broken pipe"
+        with stdout:
+            proc = _python("-m", "jcm_entropy.cli", "--alpha-mag", "7", "--t-steps", "5",
+                           stdout=stdout, buffered=True)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == ("jcm-entropy: cannot write sweep output to stdout: "
+                                        f"{error}\n")
+
+    def test_closed_stdout_is_named(self, small_sweep, monkeypatch):
+        # Python's stdout is None where fd 1 was closed (">&-")
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(OSError) as exc:
+            emit(small_sweep)
+        assert str(exc.value) == ("cannot write sweep output to stdout: "
+                                  "[Errno 9] Bad file descriptor")
+
     def test_failed_stdout_write_is_named(self, small_sweep, monkeypatch):
         # both ways to stdout: its binary buffer, and a text stdout with none
         def raiser(exc):
@@ -236,11 +264,15 @@ class TestMain:
         (["--alpha-mag", "1e155"], "alpha_mag must lie in [0, 9e+07], where photon "
                                    "numbers stay below 2**53, got 1e+155"),
         (["--alpha-mag", "2", "--t-start=-1e308", "--t-end=1e308", "--t-steps", "3"],
-         "t_end - t_start must be finite and >= 0, got inf")],
-        ids=["alpha-1e8", "alpha-1e155", "span-overflow"])
+         "t_end - t_start must be finite and >= 0, got inf"),
+        *((["--alpha-mag", "7", "--t-steps", steps], "t_steps must be <= 2**53, where "
+          f"np.linspace's float indices stay exact, got {steps}")
+          for steps in ("99999999999999999999", "9223372036854775807"))],
+        ids=["alpha-1e8", "alpha-1e155", "span-overflow", "steps-1e20", "steps-2**63-1"])
     def test_unrepresentable_inputs_exit_2(self, args, message, capsys):
-        # 1e155 crashed with an OverflowError traceback from |alpha|**2, and
-        # the span 2e308 overflowed numpy into NaN times and two warnings
+        # 1e155 crashed with an OverflowError traceback from |alpha|**2, the
+        # span 2e308 overflowed numpy into NaN times and two warnings, and
+        # the two t_steps crashed inside np.linspace (ValueError, IndexError)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2
@@ -312,11 +344,14 @@ class TestMain:
         assert quoted == {**declared, "format": "csv"}
 
 
-def _python(*args, stdout=subprocess.PIPE):
+def _python(*args, stdout=subprocess.PIPE, buffered=False):
     """``python *args`` in a fresh interpreter, with this tree's ``src`` on
-    the path; stderr is captured, and stdout too unless it is given."""
+    the path; stderr is captured, and stdout too unless it is given.  With
+    ``buffered`` set, PYTHONUNBUFFERED is left out of its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE)

@@ -578,8 +578,8 @@ class TestSpectralRoute:
 
     def test_every_run_of_a_sweep_from_below_zero_is_spectral(self, spectral_calls):
         # a run cut from linspace(-1, 1, 20000) is rounded at the scale of
-        # the grid's ends, 1: the run next to T = 0 is 6 ulps of its own
-        # ends off a uniform grid, and was summed directly
+        # the grid's ends, 1, not its own: the run next to T = 0 is spectral
+        # as the np.linspace of its own ends that run_sweep makes it
         config = SimulationConfig(alpha_mag=30.0, alpha_phase=0.7, t_start=-1.0,
                                   t_end=1.0, t_steps=20000)
         result = run_sweep(config)
@@ -866,6 +866,7 @@ class TestSimulationConfig:
         dict(alpha_mag=1.0, fock_tail_tol=1.5),
         dict(alpha_mag=1.0, series_tol=0.0),
         dict(alpha_mag=float("inf")),
+        dict(alpha_mag=1.0, t_steps=2 ** 53 + 1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):

@@ -113,7 +113,7 @@ class TestColumnarResult:
         calls = []
         real = dynamics.reduced_density
         monkeypatch.setattr(dynamics, "reduced_density",
-                            lambda amps, T, **kw: calls.append(np.size(T)) or real(amps, T, **kw))
+                            lambda amps, T: calls.append(np.size(T)) or real(amps, T))
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
         # a sweep's runs are the spectral route's blocks, each summed on its
@@ -128,6 +128,29 @@ class TestColumnarResult:
                                    t_steps=2 * sweep.RUN_POINTS + 1))
         assert calls == [2731, 2731, 2731]
         assert direct == []
+
+    @pytest.mark.parametrize("t_start, t_end, t_steps", [(-1.0, 1.0, 20000),
+                                                         (0.0, 60.0, 8193)])
+    def test_each_run_is_a_linspace_of_its_own_ends(self, monkeypatch, t_start, t_end,
+                                                    t_steps):
+        # a run cut from a longer linspace grid is rounded at the scale of the
+        # grid's ends, not its own: its points are recomputed from its ends,
+        # which stay the grid's, and are what reduced_density is handed
+        runs = []
+        real = dynamics.reduced_density
+        monkeypatch.setattr(dynamics, "reduced_density",
+                            lambda amps, T: runs.append(T.copy()) or real(amps, T))
+        t = run_sweep(SimulationConfig(alpha_mag=2.0, t_start=t_start, t_end=t_end,
+                                       t_steps=t_steps)).data["t"]
+        grid = np.linspace(t_start, t_end, t_steps)
+        assert len(runs) > 1 and sum(map(len, runs)) == t_steps
+        lo = 0
+        for T in runs:
+            hi = lo + T.size
+            assert np.array_equal(t[lo:hi], T)
+            assert np.array_equal(T, np.linspace(T[0], T[-1], T.size))
+            assert np.array_equal(t[[lo, hi - 1]], grid[[lo, hi - 1]])
+            lo = hi
 
     def test_one_quadrature_call_per_sweep(self, monkeypatch):
         calls = []

@@ -18,9 +18,10 @@ from a negative integral ``t`` as CSV and JSON, whose text takes layouts no
 other config reaches: three exponent digits (``sy`` about 1.7e-150), ``-0``
 and ``-0.0``, and ``-2`` and ``-2.0``, and ``negative-start-runs``,
 |alpha| = 30 on [-1, 1] at 20000 points, five runs whose middle one, next
-to T = 0, is off a uniform grid by ulps of the grid's ends, not its own,
-and is spectral like the rest.  Three configs exit 1, so that
-their exit codes and error text are compared: ``term-cap``, a series
+to T = 0, is cut from a grid rounded at the scale of its ends, not its
+own, and is an ``np.linspace`` of its own ends and spectral like the rest.
+Three configs exit 1, so that their exit codes and error text are
+compared: ``term-cap``, a series
 tolerance that the eta = 1 row cannot meet; ``phase-limit``, Rabi phases
 past 2**53; and ``series-index``, |alpha| = 7 on 2000 points at
 ``--series-tol 6e-16``, whose first failing point lies inside a spectral

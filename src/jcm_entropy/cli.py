@@ -93,7 +93,17 @@ def entry() -> None:
     # a one-shot run: move what import made out of the collector's reach, so
     # neither the run's collections nor the one at exit walk it again
     gc.freeze()
-    status = main()
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse: --help (0) or a usage error (2)
+        status = exc.code
+    if status == 0 and sys.stdout is not None:
+        # --help leaves its text in stdout's buffer; a sweep has flushed it
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"jcm-entropy: cannot write to stdout: {exc}", file=sys.stderr)
+            status = 1
     if status:
         # a failed write to stdout may leave text in its buffer: point fd 1
         # at the null device, so that the flush at exit cannot fail again

@@ -135,20 +135,28 @@ class TestEmit:
         # with PYTHONUNBUFFERED unset, 5 rows stay in stdout's buffer: they
         # were flushed at exit only, which failed with "Exception ignored"
         # and exit status 120
-        if sink == "full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            stdout, error = open("/dev/full", "wb"), "[Errno 28] No space left on device"
-        else:
-            read, write = os.pipe()
-            os.close(read)
-            stdout, error = os.fdopen(write, "wb"), "[Errno 32] Broken pipe"
+        stdout, error = _failing_stdout(sink)
         with stdout:
             proc = _python("-m", "jcm_entropy.cli", "--alpha-mag", "7", "--t-steps", "5",
                            stdout=stdout, buffered=True)
         assert proc.returncode == 1
         assert proc.stderr.decode() == ("jcm-entropy: cannot write sweep output to stdout: "
                                         f"{error}\n")
+
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_buffered_help_failure_is_named(self, sink):
+        # argparse leaves the help text in stdout's buffer and exits from
+        # inside main(): it was flushed at exit only, which exited 120
+        stdout, error = _failing_stdout(sink)
+        with stdout:
+            proc = _python("-m", "jcm_entropy.cli", "--help", stdout=stdout, buffered=True)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"jcm-entropy: cannot write to stdout: {error}\n"
+
+    def test_buffered_help_to_a_pipe(self):
+        proc = _python("-m", "jcm_entropy.cli", "--help", buffered=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.startswith(b"usage: jcm-entropy")
 
     def test_closed_stdout_is_named(self, small_sweep, monkeypatch):
         # Python's stdout is None where fd 1 was closed (">&-")
@@ -342,6 +350,18 @@ class TestMain:
         declared = {f.name: repr(f.default) for f in fields(SimulationConfig)
                     if f.default is not MISSING}
         assert quoted == {**declared, "format": "csv"}
+
+
+def _failing_stdout(sink):
+    """A binary file that every write fails on, and the error it gives:
+    /dev/full, or a pipe whose read end is closed."""
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return open("/dev/full", "wb"), "[Errno 28] No space left on device"
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb"), "[Errno 32] Broken pipe"
 
 
 def _python(*args, stdout=subprocess.PIPE, buffered=False):

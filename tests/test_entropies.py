@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -443,6 +444,14 @@ class TestArrayPath:
         else:
             ulps = np.abs(got - want) / np.spacing(np.maximum(abs(got), abs(want)))
             assert np.all(ulps <= 4)
+
+    def test_closed_form_ends_inside_an_array(self):
+        # the ulp bound above does not pin them: the ends are exact constants
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = wehrl_entropy_closed(np.array([0.0, 5e-324, 0.5, 1 - 2**-53, 1.0]))
+        assert w[0] == LN4PI and w[-1] == WEHRL_MIN
+        assert np.all(np.isfinite(w))
 
     def test_record_and_normalized(self):
         etas = np.array(self.ETAS)

@@ -45,7 +45,7 @@ import functools
 
 import numpy as np
 
-from .dynamics import _two_prod
+from ._exact import two_prod
 
 BLOCK = 2 ** 12        # values rendered at once; temporaries grow with this
 _FAST_MIN, _FAST_MAX = 1e-200, 1e200
@@ -86,7 +86,7 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to about 2**-104 of the product."""
     hi, lo = _powers()
     s = 16 - _S_MIN - k
-    p, e = _two_prod(a, hi[s])
+    p, e = two_prod(a, hi[s])
     return p, e + a * lo[s]
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from ._exact import _TWO_PI_LO, two_prod, two_sum
+from .errors import (DomainError, _check_count, _check_quad_orders, _check_tolerance,
+                     _item, _refuse, _require_finite)
 
 TRACE_TOL = 1e-12
 ETA_TOL = 1e-9
@@ -30,31 +31,6 @@ SERIES_TOL = 1e-14
 # |alpha| up to this keeps the photon-number window (within |alpha|^2 + 40|alpha|
 # for every fock_tail_tol) below 2**53, so that photon numbers are exact floats.
 ALPHA_MAX = 9e7
-
-
-def _item(value):
-    """A 0-d result as a Python scalar; arrays pass through unchanged."""
-    return value if np.ndim(value) else np.asarray(value).item()
-
-
-def _refuse(bad, message, *values) -> None:
-    """Where ``bad`` holds anywhere, raise ``DomainError(message(*entries))``
-    with ``index`` i, the flat position of the first such entry, and
-    ``entries`` those of ``values`` at i, as Python scalars."""
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(message(*(np.asarray(v).flat[i].item() for v in values)),
-                          index=i)
-
-
-def _require_finite(name: str, value) -> None:
-    _refuse(~np.isfinite(value), lambda x: f"{name} must be finite, got {x!r}", value)
-
-
-def _check_tolerance(name: str, tol) -> None:
-    """A relative tolerance must lie in (0, 1); NaN and inf do not."""
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {tol!r}")
 
 
 def _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol) -> None:
@@ -69,22 +45,6 @@ def _check_coherent_inputs(alpha_mag, alpha_phase, fock_tail_tol) -> None:
     if not sys.float_info.min <= fock_tail_tol < 1.0:
         raise DomainError(f"fock_tail_tol must be a normal double in "
                           f"[{sys.float_info.min!r}, 1), got {fock_tail_tol!r}")
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """An integer (a numpy one too) of at least ``least``."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value!r}")
-
-
-def _check_quad_orders(theta_order, phi_order) -> None:
-    """The oracle quadrature needs at least 2 nodes in cos(theta) and 4 in phi."""
-    _check_count("theta_order", theta_order, 2)
-    _check_count("phi_order", phi_order, 4)
 
 
 @dataclass(frozen=True)
@@ -263,35 +223,9 @@ CHUNK_ELEMENTS = 2 ** 13
 SPECTRAL_MIN_TIMES = 2 ** 7
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # most |T[j] - (T[0] + j*h)|, in ulps of T's larger |end|
-# a phase's ulp is 2 radians or more from here on; the limit also keeps the
-# spectral route's exact products far below their overflow at about 1.3e300
-_PHASE_LIMIT = 2.0 ** 53
+_PHASE_LIMIT = 2.0 ** 53  # ulp(phase) >= 2 radians from here; far below two_prod's overflow
 _HALF_WIDTH = 16         # Gaussian half-width, in cells of the 2x grid
 _SPREAD_ELEMENTS = 2 ** 12  # kernel values spread at once
-_SPLITTER = 2.0 ** 27 + 1.0
-_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
-
-
-def _split(a):
-    """a = hi + lo exactly, hi holding at most 26 significant bits (Dekker)."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    """a + b = s + e exactly (Knuth)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b):
-    """a * b = p + e exactly (Dekker)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _direct_sums(p, q, root, times):
@@ -344,11 +278,11 @@ def _spectral_sums(p, q, n1, root, T, h):
     grid = np.empty((2, cells), complex)
 
     step = h / (2.0 * math.pi)
-    prod, err = _two_prod(step, 2.0 * math.pi)
+    prod, err = two_prod(step, 2.0 * math.pi)
     step_lo = ((h - prod) - err - step * _TWO_PI_LO) / (2.0 * math.pi)
-    prod, err = _two_prod(root, root)
+    prod, err = two_prod(root, root)
     root_lo = ((n1 - prod) - err) / (2.0 * root)  # sqrt(n+1) - root
-    pair, pair_lo = _two_sum(root[:-1], root[1:])
+    pair, pair_lo = two_sum(root[:-1], root[1:])
     plus = (q, pair, pair_lo + root_lo[:-1] + root_lo[1:])
     minus = (-q, root[1:] - root[:-1], root_lo[1:] - root_lo[:-1])
     bands = [(p, 2.0 * root, 2.0 * root_lo), tuple(map(np.concatenate, zip(plus, minus)))]
@@ -356,8 +290,8 @@ def _spectral_sums(p, q, n1, root, T, h):
 
     centre = T[0] + (modes // 2) * h  # the time of mode 0
     # skew = T - (centre + k h), exact to rounding
-    diff, diff_err = _two_sum(T, -centre)
-    kh, kh_err = _two_prod(k.astype(float), h)
+    diff, diff_err = two_sum(T, -centre)
+    kh, kh_err = two_prod(k.astype(float), h)
     skew = (diff - kh) + (diff_err - kh_err)
 
     sums = []  # sum_n c_n exp(i w_n T) at the grid's times, per band
@@ -366,13 +300,13 @@ def _spectral_sums(p, q, n1, root, T, h):
         # mod 1 of each frequency over one grid step, in cells of the fine
         # grid, in [-cells/2, cells/2], carried in double-double so that mode
         # indices up to half a long grid multiply no rounding of it
-        prod, err = _two_prod(w, step)
-        node, node_lo = _two_prod(prod - np.rint(prod), cells)
+        prod, err = two_prod(w, step)
+        node, node_lo = two_prod(prod - np.rint(prod), cells)
         node_lo += (err + w * step_lo + w_lo * step) * cells
         grid.fill(0.0)
         for s in range(0, w.size, piece):
             e = s + piece
-            prod, err = _two_prod(w[s:e], centre)
+            prod, err = two_prod(w[s:e], centre)
             a = c[s:e] * np.exp(1j * prod) * (1.0 + 1j * (err + w_lo[s:e] * centre))
             cell = np.floor(node[s:e])
             frac = (node[s:e] - cell) + node_lo[s:e]

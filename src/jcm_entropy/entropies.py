@@ -20,9 +20,8 @@ import math
 
 import numpy as np
 
-from .dynamics import (ETA_TOL, SERIES_TOL, _check_tolerance, _item, _refuse,
-                       _require_finite)
-from .errors import PrecisionLossError
+from .dynamics import ETA_TOL, SERIES_TOL
+from .errors import PrecisionLossError, _check_tolerance, _item, _refuse, _require_finite
 
 LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)

@@ -55,9 +55,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector, _check_quad_orders, _item, _refuse
+from .dynamics import BlochVector
 from .entropies import _xlogx
-from .errors import DomainError
+from .errors import DomainError, _check_quad_orders, _item, _refuse
 
 FOUR_PI = 4.0 * math.pi
 Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball

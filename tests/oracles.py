@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from jcm_entropy import LN4PI, BlochVector, DomainError, PrecisionLossError, SphereQuadrature
-from jcm_entropy.dynamics import _check_count
+from jcm_entropy.errors import _check_count
 from jcm_entropy.entropies import _check_eta
 from jcm_entropy.husimi import FOUR_PI
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import jcm_entropy
 
 PUBLIC = {
@@ -19,3 +22,17 @@ def test_public_names():
     assert sorted(jcm_entropy.__all__) == sorted(PUBLIC)
     for name in jcm_entropy.__all__:
         assert getattr(jcm_entropy, name) is not None, name
+
+
+def test_no_module_imports_a_private_name_of_dynamics():
+    # the input checks live in errors and the exact arithmetic in _exact, so
+    # that no module reaches into dynamics for them
+    offenders = []
+    for path in sorted(Path(jcm_entropy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "dynamics")
+                    or (node.level == 0 and node.module == "jcm_entropy.dynamics")):
+                offenders += [f"{path.name}: {a.name}" for a in node.names
+                              if a.name.startswith("_")]
+    assert offenders == []

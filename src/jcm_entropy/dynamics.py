@@ -316,7 +316,8 @@ def _spectral_sums(p, q, n1, root, T, h):
             for row, x in zip(grid, (a, a * w[s:e])):
                 row.real += np.bincount(index, (x.real[:, None] * kernel).ravel(), cells)
                 row.imag += np.bincount(index, (x.imag[:, None] * kernel).ravel(), cells)
-        ifft(grid, axis=-1, out=grid)
+        for row in grid:  # one row a call: a batched call faults in a buffer
+            ifft(row, out=row)
         value, rate = grid[:, bins]
         value *= deconv
         rate *= deconv

@@ -11,6 +11,8 @@ quadrature oracle is in ``husimi``):
 All of them depend on the Bloch vector only through its length eta, which
 is what makes cross-route checking possible.  The closed forms call no
 series and the series no logarithm, so the routes are independent at every eta.
+On all of [0, 1], against 50-digit values, the Wehrl closed form is within
+``WEHRL_CLOSED_ERROR`` (5e-15) and both series within ``SERIES_ERROR`` (2e-15).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ LN2 = math.log(2.0)
 LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
 WEHRL_SPAN = LN4PI - WEHRL_MIN                   # ln 2 - 1/2 to 4 ulps
+WEHRL_CLOSED_ERROR = 5e-15  # stated error of wehrl_entropy_closed
+SERIES_ERROR = 2e-15        # stated error of both series at series_tol <= SERIES_TOL
 
 # The tanh-sinh rule of _sum_series: nodes x = j*h on |x| <= _X_MAX, where the
 # weight ds/dx is below 1e-15, with h = 1, 1/2, ... halved up to _HALVINGS times.
@@ -129,7 +133,7 @@ def wehrl_entropy_closed(eta):
     W(1) = ln(2pi) + 1/2.  ``np.arctanh`` is good to rounding and
     artanh(eta)/eta stays near 1 as eta -> 0, so nothing is amplified by
     1/eta there, not even for subnormal eta; 1 - eta is exact near eta = 1.
-    The error stays within a few 1e-15 on all of [0, 1].
+    The error stays within ``WEHRL_CLOSED_ERROR`` (5e-15) on all of [0, 1].
     """
     e = _check_eta(eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0, inf - inf at the ends

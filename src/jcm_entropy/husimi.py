@@ -37,8 +37,9 @@ NaN elsewhere in the block hides none) and otherwise clamps Q at 0 with
 evaluated from (sx, sy, sz) at every node for every point, with no use of
 rotational symmetry, of eta, or of the closed form or the series.
 
-Tolerance: at the default 64x128 nodes the quadrature is within 1e-13 of
-the closed form up to eta = 0.99, and within 1e-7 on all of [0, 1].  Q ln Q
+Tolerance: at the default 64x128 nodes the quadrature is within
+``QUAD_ERROR`` (1e-13) of the closed form up to eta = ``QUAD_ETA_SPLIT``
+(0.99), and within ``QUAD_ERROR_NEAR_PURE`` (1e-7) on all of [0, 1].  Q ln Q
 is not smooth where Q nears 0, at the antipode of a Bloch vector of length
 near 1, so the error grows toward eta = 1: over the poles, x and 200 random
 directions it is at most 4.8e-14 at eta = 0.99, 1.8e-9 at 0.999 and
@@ -61,6 +62,9 @@ from .errors import DomainError, _check_quad_orders, _item, _refuse
 
 FOUR_PI = 4.0 * math.pi
 Q_FLOOR = -1e-12  # Q below this at a node: the Bloch vector is outside the ball
+QUAD_ETA_SPLIT = 0.99
+QUAD_ERROR = 1e-13           # stated error at 64x128 nodes, up to eta = QUAD_ETA_SPLIT
+QUAD_ERROR_NEAR_PURE = 1e-7  # stated error at 64x128 nodes, above it
 
 # Quadrature nodes per block of points.  It bounds each block's temporaries
 # (Q and Q ln Q, 256 KiB each); a point whose nodes exceed this is still

@@ -1,7 +1,9 @@
 import ast
+import re
 from pathlib import Path
 
 import jcm_entropy
+from jcm_entropy import entropies, husimi
 
 PUBLIC = {
     "AtomicDensityMatrix", "BlochVector", "FockAmplitudes", "SimulationConfig",
@@ -36,3 +38,17 @@ def test_no_module_imports_a_private_name_of_dynamics():
                 offenders += [f"{path.name}: {a.name}" for a in node.names
                               if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_docs_quote_each_stated_error_from_its_constant():
+    # README and the docstrings name each route's stated error bound beside
+    # its figure; the figure quoted must be the constant's value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for module, docs, names in [
+            (entropies, (entropies.__doc__, entropies.wehrl_entropy_closed.__doc__),
+             ("WEHRL_CLOSED_ERROR", "SERIES_ERROR")),
+            (husimi, (husimi.__doc__,), ("QUAD_ERROR", "QUAD_ETA_SPLIT", "QUAD_ERROR_NEAR_PURE"))]:
+        for name in names:
+            quoted = [q for text in (readme, *docs)
+                      for q in re.findall(rf"\b{name}`+\s+\(([^)]*)\)", text)]
+            assert len(quoted) >= 2 and {float(q) for q in quoted} == {getattr(module, name)}, name

@@ -26,11 +26,8 @@ from jcm_entropy import (
     wehrl_entropy_series,
 )
 from jcm_entropy.cli import main
+from jcm_entropy.entropies import SERIES_ERROR, WEHRL_CLOSED_ERROR
 from oracles import wehrl_entropy_triple_sum
-
-
-# both series against 50-digit values, on all of [0, 1]
-SERIES_BOUND = 2e-15
 
 
 def mp_references(eta):
@@ -100,7 +97,7 @@ class TestVonNeumann:
     def test_series_refuses_endpoint(self):
         # refused while the series was summed term by term; its integral
         # form takes eta = 1 like any other point
-        assert abs(von_neumann_series(1.0)) <= SERIES_BOUND
+        assert abs(von_neumann_series(1.0)) <= SERIES_ERROR
 
     def test_series_empty_sum(self):
         assert von_neumann_series(0.0) == pytest.approx(LN2, abs=1e-15)
@@ -164,7 +161,7 @@ class TestWehrl:
                 else:
                     ref = (0.5 + ln4pi - mpmath.log(1 - e * e) / 2
                            - (1 + e * e) * mpmath.atanh(e) / (2 * e))
-                assert abs(w - ref) <= 5e-15, float(e)
+                assert abs(w - ref) <= WEHRL_CLOSED_ERROR, float(e)
 
     def test_closed_form_against_series_at_small_eta(self):
         # both routes are evaluated independently at every eta
@@ -181,8 +178,8 @@ class TestWehrl:
                               1.0 - np.logspace(-16, -0.3, 1500),
                               rng.uniform(0.0, 1.0, 1500), [1.0]])
         want = np.array([mp_references(e) for e in eta.tolist()])
-        assert np.all(np.abs(von_neumann_series(eta) - want[:, 0]) <= SERIES_BOUND)
-        assert np.all(np.abs(wehrl_entropy_series(eta) - want[:, 1]) <= SERIES_BOUND)
+        assert np.all(np.abs(von_neumann_series(eta) - want[:, 0]) <= SERIES_ERROR)
+        assert np.all(np.abs(wehrl_entropy_series(eta) - want[:, 1]) <= SERIES_ERROR)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -359,7 +356,7 @@ class TestSeriesTolerance:
         etas = np.array([0.5] + eta)
         if route is von_neumann_series:
             want = [mp_references(e)[0] for e in etas.tolist()]
-            assert np.all(np.abs(route(etas, series_tol=tol) - want) <= SERIES_BOUND)
+            assert np.all(np.abs(route(etas, series_tol=tol) - want) <= SERIES_ERROR)
             return
         with pytest.raises(PrecisionLossError) as exc:
             route(etas, series_tol=tol)

@@ -14,7 +14,7 @@ from jcm_entropy import (
 )
 from jcm_entropy import husimi
 from jcm_entropy.entropies import _xlogx
-from jcm_entropy.husimi import QUAD_ELEMENTS
+from jcm_entropy.husimi import QUAD_ELEMENTS, QUAD_ERROR, QUAD_ERROR_NEAR_PURE, QUAD_ETA_SPLIT
 from oracles import atomic_q, q_normalization, trig_power_integral
 
 FOUR_PI = 4.0 * math.pi
@@ -157,8 +157,9 @@ class TestWehrlQuadrature:
             got = wehrl_entropy_quadrature(bloch(0.0, 0.6 * eta, 0.8 * eta), quad)
             assert abs(got - wehrl_entropy_closed(eta)) < 1e-8
 
-    @pytest.mark.parametrize("eta,bound", [(0.0, 1e-13), (0.5, 1e-13), (0.99, 1e-13),
-                                           (0.999, 1e-7), (1.0, 1e-7)])
+    @pytest.mark.parametrize("eta,bound", [
+        (0.0, QUAD_ERROR), (0.5, QUAD_ERROR), (QUAD_ETA_SPLIT, QUAD_ERROR),
+        (0.999, QUAD_ERROR_NEAR_PURE), (1.0, QUAD_ERROR_NEAR_PURE)])
     def test_stated_tolerance_at_default_orders(self, eta, bound):
         # the bound the husimi docstring states at the default 64x128 nodes,
         # over +z, -z, x and 200 random directions

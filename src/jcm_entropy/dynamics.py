@@ -22,12 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._exact import _TWO_PI_LO, two_prod, two_sum
+from .entropies import ETA_TOL, SERIES_TOL
 from .errors import (DomainError, _check_count, _check_quad_orders, _check_tolerance,
                      _item, _refuse, _require_finite)
 
 TRACE_TOL = 1e-12
-ETA_TOL = 1e-9
-SERIES_TOL = 1e-14
 # |alpha| up to this keeps the photon-number window (within |alpha|^2 + 40|alpha|
 # for every fock_tail_tol) below 2**53, so that photon numbers are exact floats.
 ALPHA_MAX = 9e7

@@ -8,10 +8,10 @@ quadrature oracle is in ``husimi``):
 * von Neumann entropy   gamma = -sum mu log mu,           range [0, ln 2]
 * atomic Wehrl entropy  W_a,                              range [ln(2pi)+1/2, ln(4pi)]
 
-All of them depend on the Bloch vector only through its length eta, which
-is what makes cross-route checking possible.  The closed forms call no
-series and the series no logarithm, so the routes are independent at every eta.
-On all of [0, 1], against 50-digit values, the Wehrl closed form is within
+All of them depend on the Bloch vector only through its length eta, and so do this
+module and its tolerances ``ETA_TOL`` (1e-9) and ``SERIES_TOL`` (1e-14).  The closed
+forms call no series and the series no logarithm, so the routes are independent at
+every eta.  Against 50-digit values on [0, 1], the Wehrl closed form is within
 ``WEHRL_CLOSED_ERROR`` (5e-15) and both series within ``SERIES_ERROR`` (2e-15).
 """
 
@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .dynamics import ETA_TOL, SERIES_TOL
 from .errors import PrecisionLossError, _check_tolerance, _item, _refuse, _require_finite
 
 LN2 = math.log(2.0)
@@ -30,12 +29,15 @@ LN4PI = math.log(4.0 * math.pi)
 WEHRL_MIN = math.log(2.0 * math.pi) + 0.5       # value at eta = 1
 WEHRL_SPAN = LN4PI - WEHRL_MIN                   # ln 2 - 1/2 to 4 ulps
 WEHRL_CLOSED_ERROR = 5e-15  # stated error of wehrl_entropy_closed
+SERIES_TOL = 1e-14          # default series_tol of both series
 SERIES_ERROR = 2e-15        # stated error of both series at series_tol <= SERIES_TOL
 
 # The tanh-sinh rule of _sum_series: nodes x = j*h on |x| <= _X_MAX, where the
 # weight ds/dx is below 1e-15, with h = 1, 1/2, ... halved up to _HALVINGS times.
 _X_MAX = 3.2
 _HALVINGS = 6
+
+ETA_TOL = 1e-9  # eta up to 1 + ETA_TOL is rounding and is clamped to 1
 
 
 def _check_eta(eta) -> np.ndarray:

@@ -197,9 +197,8 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
                     np.matmul(coords[b:b + rows], quad.basis, out=q)
                     try:
                         checked = _q_log_q(q)
-                    except DomainError as exc:  # its index, if any, is a row of the block
-                        if exc.index is not None:
-                            exc.index += b
+                    except DomainError as exc:  # its index is a row of the block
+                        exc.index += b
                         raise
                     np.matmul(checked.reshape(rows, 1, nodes), quad.weights,
                               out=out[b:b + rows].reshape(rows, 1))

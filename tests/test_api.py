@@ -40,6 +40,23 @@ def test_no_module_imports_a_private_name_of_dynamics():
     assert offenders == []
 
 
+def test_entropies_does_not_import_dynamics():
+    # the entropies depend on eta alone: their tolerances live beside them,
+    # and dynamics imports those from entropies, never the other way
+    path = Path(entropies.__file__)
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):  # the dotted name of each imported name
+            base = "." * node.level + (node.module + "." if node.module else "")
+            names = [base + a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        offenders += [n for n in names if re.fullmatch(r"(\.|jcm_entropy\.)dynamics(\..*)?", n)]
+    assert offenders == []
+
+
 def test_docs_quote_each_stated_error_from_its_constant():
     # README and the docstrings name each route's stated error bound beside
     # its figure; the figure quoted must be the constant's value

@@ -366,8 +366,8 @@ class TestWorkers:
     @pytest.mark.parametrize("bad,first_share", [([30], False), ([5, 30], True)])
     def test_first_error_in_grid_order_is_raised(self, monkeypatch, started_threads,
                                                  bad, first_share):
-        def failing(q):
-            raise DomainError(threading.current_thread().name)
+        def failing(q):  # like the real check, it names a row of the block
+            raise DomainError(threading.current_thread().name, index=0)
 
         monkeypatch.setattr(husimi, "_q_log_q", failing)
         sx, sy, sz = random_components(40, seed=2, max_radius=0.9)

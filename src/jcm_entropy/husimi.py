@@ -35,7 +35,8 @@ checked path, which raises where any node's Q falls below ``Q_FLOOR`` (a
 NaN elsewhere in the block hides none) and otherwise clamps Q at 0 with
 0 ln 0 = 0.  The oracle stays independent of the other routes: Q is
 evaluated from (sx, sy, sz) at every node for every point, with no use of
-rotational symmetry, of eta, or of the closed form or the series.
+rotational symmetry, of eta, or of the closed form or the series, and the
+module imports nothing from the package but ``errors``.
 
 Tolerance: at the default 64x128 nodes the quadrature is within
 ``QUAD_ERROR`` (1e-13) of the closed form up to eta = ``QUAD_ETA_SPLIT``
@@ -56,8 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlochVector
-from .entropies import _xlogx
 from .errors import DomainError, _check_quad_orders, _item, _refuse
 
 FOUR_PI = 4.0 * math.pi
@@ -138,18 +137,19 @@ class SphereQuadrature:
             w * (2.0 * math.pi / self.phi_order), self.phi_order))
 
 
-def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
+def wehrl_entropy_quadrature(bloch, quad: SphereQuadrature):
     """Wehrl entropy -integral Q ln Q by direct spherical quadrature.
 
-    The Bloch components are scalars or equal-length 1-D arrays; a scalar
-    Bloch vector gives a Python float.  The points are stacked as rows
-    [1, sz, sx, sy] and taken ``rows`` at a time, in blocks of one shape:
-    the last, and a lone point, are padded with zero Bloch vectors
-    (Q = 1/(4 pi) > 0).  The calling thread takes the points ``[0, cut)``.
-    In a call of four blocks or more, ``cut`` follows the first half of the
-    blocks, rounded down, and a thread of its own takes the rest, joined
-    before the call returns or raises; in any other call ``cut`` is the
-    end.  The first failing share's error is raised; its ``index`` counts
+    ``bloch`` is any object with ``sx``, ``sy`` and ``sz``, such as a
+    ``BlochVector``; its radius is not read.  The components are scalars or
+    equal-length 1-D arrays; scalars give a Python float.  The points are
+    stacked as rows [1, sz, sx, sy] and taken ``rows`` at a time, in blocks
+    of one shape: the last, and a lone point, are padded with zero Bloch
+    vectors (Q = 1/(4 pi) > 0).  The calling thread takes the points
+    ``[0, cut)``.  In a call of four blocks or more, ``cut`` follows the
+    first half of the blocks, rounded down, and a thread of its own takes
+    the rest, joined before the call returns or raises; in any other call
+    ``cut`` is the end.  The first failing share's error is raised; its ``index`` counts
     from the call's first point, so it is the first failing point of the
     call.
 
@@ -158,10 +158,11 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
     as one stacked product of its row with ``quad.weights``; a flat product
     of the block with the weights would round a point's sum by the block's
     row count.  A block with a point whose value comes out non-finite (a
-    node at or below 0, or a non-finite input) is taken again through
-    ``_q_log_q``, the checked path, which tests every node against the
-    floor and gives the same bits wherever Q > 0, so every value is the
-    checked path's.
+    node at or below 0, or a non-finite input) is taken again by the
+    checked pass: it refuses any row with a node below ``Q_FLOOR``, then
+    clamps Q at 0 and takes the log only where Q > 0, into a zeroed
+    buffer, times Q.  That gives the unchecked bits wherever Q > 0, so
+    every value is the checked pass's.
     """
     sx, sy, sz = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                        for c in (bloch.sx, bloch.sy, bloch.sz)))
@@ -195,12 +196,17 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
                 redo = np.flatnonzero(~np.isfinite(out[lo:hi]).reshape(-1, rows).all(axis=1))
                 for b in (lo + redo * rows).tolist():
                     np.matmul(coords[b:b + rows], quad.basis, out=q)
-                    try:
-                        checked = _q_log_q(q)
+                    try:  # node by node, so a NaN elsewhere in the block hides none
+                        _refuse((q < Q_FLOOR).any(axis=1), lambda: "negative Q density "
+                                "at a node: Bloch vector outside the unit ball")
                     except DomainError as exc:  # its index is a row of the block
                         exc.index += b
                         raise
-                    np.matmul(checked.reshape(rows, 1, nodes), quad.weights,
+                    np.maximum(q, 0.0, out=q)
+                    q_log_q.fill(0.0)  # 0 ln 0 = 0
+                    np.log(q, out=q_log_q, where=q > 0.0)
+                    q_log_q *= q
+                    np.matmul(q_log_q.reshape(rows, 1, nodes), quad.weights,
                               out=out[b:b + rows].reshape(rows, 1))
         except Exception as exc:
             failed[lo] = exc
@@ -216,13 +222,3 @@ def wehrl_entropy_quadrature(bloch: BlochVector, quad: SphereQuadrature):
     if failed:
         raise failed[min(failed)]
     return _item(-out[:sz.size].reshape(shape))
-
-
-def _q_log_q(q: np.ndarray) -> np.ndarray:
-    """Q ln Q of a block, checked: a node with Q below Q_FLOOR raises, node
-    by node, so a NaN elsewhere in the block hides none, with the first such
-    row as its index; otherwise Q is clamped at 0, with 0 ln 0 = 0."""
-    _refuse((q < Q_FLOOR).any(axis=1),
-            lambda: "negative Q density at a node: Bloch vector outside the unit ball")
-    return _xlogx(np.maximum(q, 0.0))
-

@@ -26,35 +26,63 @@ def test_public_names():
         assert getattr(jcm_entropy, name) is not None, name
 
 
-def test_no_module_imports_a_private_name_of_dynamics():
-    # the input checks live in errors and the exact arithmetic in _exact, so
-    # that no module reaches into dynamics for them
-    offenders = []
-    for path in sorted(Path(jcm_entropy.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and (
-                    (node.level == 1 and node.module == "dynamics")
-                    or (node.level == 0 and node.module == "jcm_entropy.dynamics")):
-                offenders += [f"{path.name}: {a.name}" for a in node.names
-                              if a.name.startswith("_")]
-    assert offenders == []
+# Each module's imports from the package.  The oracle routes import no route
+# they check: husimi takes only errors.  dynamics takes ETA_TOL and
+# SERIES_TOL from entropies until SimulationConfig can leave dynamics.
+# Underscore names come only from errors and _exact.
+MODULE_GRAPH = {
+    "__init__": {"dynamics", "entropies", "errors", "husimi", "sweep"},
+    "_exact": set(),
+    "_g17": {"_exact"},
+    "cli": {"dynamics", "errors", "sweep"},
+    "dynamics": {"_exact", "entropies", "errors"},
+    "entropies": {"errors"},
+    "errors": set(),
+    "husimi": {"errors"},
+    "sweep": {"_g17", "dynamics", "entropies", "errors", "husimi"},
+}
+PRIVATE_FROM = {"errors", "_exact"}
 
 
-def test_entropies_does_not_import_dynamics():
-    # the entropies depend on eta alone: their tolerances live beside them,
-    # and dynamics imports those from entropies, never the other way
-    path = Path(entropies.__file__)
-    offenders = []
+def package_imports(path: Path, modules: set) -> list:
+    """(module, name) for each import from the package anywhere in the
+    module at ``path``; ``name`` is None where a whole module is imported."""
+    pairs = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom):  # the dotted name of each imported name
-            base = "." * node.level + (node.module + "." if node.module else "")
-            names = [base + a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
+        if isinstance(node, ast.Import):
+            found = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # level 1 is the package
+            module = ".".join(filter(None, ["jcm_entropy" if node.level else "", node.module]))
+            found = [(module, a.name) for a in node.names]
         else:
             continue
-        offenders += [n for n in names if re.fullmatch(r"(\.|jcm_entropy\.)dynamics(\..*)?", n)]
-    assert offenders == []
+        for module, name in found:
+            parts = module.split(".")
+            if parts[0] != "jcm_entropy":
+                continue
+            if len(parts) > 1:
+                pairs.append((parts[1], name))
+            else:
+                pairs.append((name, None) if name in modules else ("__init__", name))
+    return pairs
+
+
+def test_module_graph():
+    # every module's imports from the package are the ones listed, no more
+    # and no fewer, and no underscore name comes from elsewhere
+    paths = sorted(Path(jcm_entropy.__file__).parent.glob("*.py"))
+    modules = {p.stem for p in paths}
+    assert modules == set(MODULE_GRAPH)
+    wrong, private = {}, []
+    for path in paths:
+        pairs = package_imports(path, modules)
+        edges = {m for m, _ in pairs}
+        if edges != MODULE_GRAPH[path.stem]:
+            wrong[path.stem] = sorted(edges ^ MODULE_GRAPH[path.stem])
+        private += [f"{path.stem}: {m}.{n}" for m, n in pairs
+                    if n and n.startswith("_") and m not in PRIVATE_FROM]
+    assert wrong == {}
+    assert private == []
 
 
 def test_docs_quote_each_stated_error_from_its_constant():

@@ -25,6 +25,7 @@ from jcm_entropy import (
     wehrl_entropy_closed,
     wehrl_entropy_series,
 )
+from jcm_entropy import entropies
 from jcm_entropy.cli import main
 from jcm_entropy.entropies import SERIES_ERROR, WEHRL_CLOSED_ERROR
 from oracles import wehrl_entropy_triple_sum
@@ -499,3 +500,43 @@ class TestArrayPath:
             wehrl_entropy_closed(np.array([0.5, 1.5, -1.0]))
         with pytest.raises(DomainError, match="eta must be finite, got nan"):
             linear_entropy(np.array([0.5, np.nan]))
+
+
+class NumpyWithout:
+    """numpy, with the named functions raising when called."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __getattr__(self, name):
+        if name in self.names:
+            def forbidden(*args, **kwargs):
+                raise AssertionError(f"np.{name} called")
+            return forbidden
+        return getattr(np, name)
+
+
+class TestRouteIndependence:
+    """Each route gives its bits with the other route's operations taken away."""
+
+    ETAS = np.array([0.0, 5e-324, 1e-8, 0.3, 0.5, 0.9, 0.99, 1 - 1e-8, 1.0])
+
+    def test_series_take_no_logarithm_or_artanh(self, monkeypatch):
+        want = [f(self.ETAS) for f in (von_neumann_series, wehrl_entropy_series)]
+        monkeypatch.setattr(entropies, "np",
+                            NumpyWithout("log", "log1p", "log2", "log10", "arctanh"))
+        with pytest.raises(AssertionError, match="np.log"):  # the proxy is in place
+            wehrl_entropy_closed(self.ETAS)
+        got = [f(self.ETAS) for f in (von_neumann_series, wehrl_entropy_series)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_closed_form_takes_no_series(self, monkeypatch):
+        want = wehrl_entropy_closed(self.ETAS)
+
+        def raising(*args, **kwargs):
+            raise AssertionError("_sum_series called")
+
+        monkeypatch.setattr(entropies, "_sum_series", raising)
+        with pytest.raises(AssertionError, match="_sum_series"):
+            wehrl_entropy_series(self.ETAS)
+        assert wehrl_entropy_closed(self.ETAS).tobytes() == want.tobytes()

@@ -1,5 +1,8 @@
+import inspect
 import math
+import sys
 import threading
+import types
 
 import mpmath
 import numpy as np
@@ -12,8 +15,9 @@ from jcm_entropy import (
     wehrl_entropy_closed,
     wehrl_entropy_quadrature,
 )
-from jcm_entropy import husimi
+from jcm_entropy import entropies, husimi
 from jcm_entropy.entropies import _xlogx
+from jcm_entropy.errors import _refuse
 from jcm_entropy.husimi import QUAD_ELEMENTS, QUAD_ERROR, QUAD_ERROR_NEAR_PURE, QUAD_ETA_SPLIT
 from oracles import atomic_q, q_normalization, trig_power_integral
 
@@ -272,11 +276,12 @@ class TestArrayQuadrature:
 
     def test_unit_vector_antipodal_to_a_node(self, monkeypatch):
         # Q is 0 at that node up to rounding, so some of these blocks take
-        # the clamped, masked Q ln Q; taken as one array of 17 blocks, some
-        # do so in the second share, on its own thread
+        # the checked pass, the only caller of _refuse, with its clamped,
+        # masked Q ln Q; taken as one array of 17 blocks, some do so in the
+        # second share, on its own thread
         masked = []
-        monkeypatch.setattr(husimi, "_xlogx",
-                            lambda x: masked.append(threading.current_thread()) or _xlogx(x))
+        monkeypatch.setattr(husimi, "_refuse", lambda *args: masked.append(
+            threading.current_thread()) or _refuse(*args))
         quad = SphereQuadrature(64, 128)
         mu_nodes, phis = husimi._gauss_legendre(64)[0], phi_grid(quad)
         vectors, values = [], []
@@ -305,6 +310,36 @@ class TestArrayQuadrature:
         sz[6] = 1.5
         with pytest.raises(DomainError, match="negative Q density"):
             wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
+
+
+class TestIndependence:
+    def test_takes_no_radius_and_no_entropies_function(self, monkeypatch):
+        # components alone, with no eta, and every function of entropies
+        # raising wherever the package holds it: 17 points, two shares, a
+        # NaN point's block and a unit vector antipodal to a node taking the
+        # checked pass
+        quad = SphereQuadrature(64, 128)
+        mu = husimi._gauss_legendre(64)[0][5].item()
+        sx, sy, sz = random_components(17, seed=7)
+        sx[3], sy[3], sz[3] = -math.sqrt(1.0 - mu * mu), 0.0, -mu
+        sz[14] = math.nan
+        want = wehrl_entropy_quadrature(BlochVector(sx, sy, sz, None), quad)
+        one = wehrl_entropy_quadrature(bloch(0.1, 0.2, 0.3), quad)
+
+        def raising(*args, **kwargs):
+            raise AssertionError("an entropies function was called")
+
+        for module in [m for name, m in sys.modules.items()
+                       if name == "jcm_entropy" or name.startswith("jcm_entropy.")]:
+            for name, value in vars(module).items():
+                if inspect.isfunction(value) and value.__module__ == entropies.__name__:
+                    monkeypatch.setattr(module, name, raising)
+        with pytest.raises(AssertionError):  # the stubs are in place
+            wehrl_entropy_closed(0.5)
+        got = wehrl_entropy_quadrature(types.SimpleNamespace(sx=sx, sy=sy, sz=sz), quad)
+        assert got.tobytes() == want.tobytes()
+        assert wehrl_entropy_quadrature(types.SimpleNamespace(sx=0.1, sy=0.2, sz=0.3),
+                                        quad) == one
 
 
 class TestWorkers:
@@ -366,10 +401,10 @@ class TestWorkers:
     @pytest.mark.parametrize("bad,first_share", [([30], False), ([5, 30], True)])
     def test_first_error_in_grid_order_is_raised(self, monkeypatch, started_threads,
                                                  bad, first_share):
-        def failing(q):  # like the real check, it names a row of the block
+        def failing(bad, message):  # like the real check, it names a row of the block
             raise DomainError(threading.current_thread().name, index=0)
 
-        monkeypatch.setattr(husimi, "_q_log_q", failing)
+        monkeypatch.setattr(husimi, "_refuse", failing)
         sx, sy, sz = random_components(40, seed=2, max_radius=0.9)
         sz[bad] = 1.5  # its block takes the checked path
         with pytest.raises(DomainError) as raised:

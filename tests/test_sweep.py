@@ -221,6 +221,28 @@ class TestColumnarResult:
         assert capsys.readouterr().out == expected
 
 
+class TestRouteAgreement:
+    """A sweep's Wehrl columns agree within the sum of their routes' stated
+    errors, on the benchmark's shapes: the premise of a gate in the sweep."""
+
+    @pytest.mark.parametrize("alpha_mag,t_start,t_end,t_steps,with_oracle", [
+        (7.0, 0.0, 30.0, 4000, False), (30.0, 3.0, 33.0, 4000, False),
+        (7.0, 0.0, 30.0, 2000, True)])
+    def test_spreads_within_the_stated_errors(self, alpha_mag, t_start, t_end, t_steps,
+                                              with_oracle):
+        data = run_sweep(SimulationConfig(alpha_mag=alpha_mag, t_start=t_start, t_end=t_end,
+                                          t_steps=t_steps), with_oracle=with_oracle).data
+        closed = data["wehrl_closed"]
+        assert np.max(np.abs(closed - data["wehrl_series"])) <= \
+            entropies.WEHRL_CLOSED_ERROR + entropies.SERIES_ERROR
+        if with_oracle:
+            below = data["eta"] <= husimi.QUAD_ETA_SPLIT
+            assert below.any() and not below.all()
+            bound = np.where(below, husimi.QUAD_ERROR, husimi.QUAD_ERROR_NEAR_PURE)
+            assert np.all(np.abs(data["wehrl_quadrature"] - closed)
+                          <= bound + entropies.WEHRL_CLOSED_ERROR)
+
+
 class TestErrorContract:
     T_START = 0.25
 

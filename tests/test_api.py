@@ -85,6 +85,25 @@ def test_module_graph():
     assert private == []
 
 
+def test_no_module_imports_a_private_name_of_dynamics():
+    # the input checks live in errors and the exact arithmetic in _exact, so
+    # that no module reaches into dynamics for them
+    paths = sorted(Path(jcm_entropy.__file__).parent.glob("*.py"))
+    modules = {p.stem for p in paths}
+    offenders = [f"{path.stem}: {n}" for path in paths
+                 for m, n in package_imports(path, modules)
+                 if m == "dynamics" and n and n.startswith("_")]
+    assert offenders == []
+
+
+def test_entropies_does_not_import_dynamics():
+    # the entropies depend on eta alone: their tolerances live beside them,
+    # and dynamics imports those from entropies, never the other way
+    path = Path(entropies.__file__)
+    modules = {p.stem for p in path.parent.glob("*.py")}
+    assert [m for m, _ in package_imports(path, modules) if m == "dynamics"] == []
+
+
 def test_docs_quote_each_stated_error_from_its_constant():
     # README and the docstrings name each route's stated error bound beside
     # its figure; the figure quoted must be the constant's value

@@ -7,9 +7,10 @@ described by its 2x2 density matrix, equivalently by the Bloch vector.
 
 ``reduced_density`` and ``bloch_vector`` take a scalar T or a 1-D array of
 times; array fields then hold one value per time, scalar ones are Python
-numbers.  On a long uniform grid ``reduced_density`` sums the Rabi terms
-spectrally, by type-1 nonuniform FFTs (Gaussian gridding, Greengard & Lee,
-SIAM Rev. 46, 443 (2004)); every other input takes the direct sums.
+numbers.  On a uniform grid of two or more times ``reduced_density`` sums
+the Rabi terms spectrally, by type-1 nonuniform FFTs (Gaussian gridding,
+Greengard & Lee, SIAM Rev. 46, 443 (2004)); every other input takes the
+direct sums.
 """
 
 from __future__ import annotations
@@ -212,14 +213,11 @@ def coherent_amplitudes(alpha_mag: float, alpha_phase: float,
 # so the working memory does not grow with the grid length.
 CHUNK_ELEMENTS = 2 ** 13
 
-# The spectral route of reduced_density.  It is taken on every uniform grid
-# of at least SPECTRAL_MIN_TIMES times, for a basis of more than one term
-# (every |alpha| > 0 keeps at least 21).  That count is the large-basis
-# crossover: at |alpha| = 60 the route is slower at 80 and 100 times, faster
-# at 127.  It sums the grid as one block, each entry within SPECTRAL_TOL of
-# the exact sums at every time; a grid starting at T = 0 gets the exact
-# initial state.
-SPECTRAL_MIN_TIMES = 2 ** 7
+# The spectral route of reduced_density, taken on every uniform grid of two
+# or more times, for a basis of more than one term (every |alpha| > 0 keeps
+# at least 21).  It sums the grid as one block, each entry within
+# SPECTRAL_TOL of the exact sums at every time; a grid starting at T = 0
+# gets the exact initial state.
 SPECTRAL_TOL = 1e-13
 _GRID_ULPS = 4           # most |T[j] - (T[0] + j*h)|, in ulps of T's larger |end|
 _PHASE_LIMIT = 2.0 ** 53  # ulp(phase) >= 2 radians from here; far below two_prod's overflow
@@ -347,10 +345,10 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     T grows: by up to 4e-11 at |alpha| = 1000, T = 3 revival times.
 
     Spectral route (``_spectral_sums``), taken on every uniform 1-D grid
-    with a nonzero step of at least ``SPECTRAL_MIN_TIMES`` times, on a
-    basis of more than one term: each T[j] within ``_GRID_ULPS`` ulps (of
-    T's larger |end|) of T[0] + j*h, as in every ``np.linspace`` output and
-    so in every run of ``run_sweep``.  It forms every phase and node
+    of two or more times with a nonzero step, on a basis of more than one
+    term: each T[j] within ``_GRID_ULPS`` ulps (of T's larger |end|) of
+    T[0] + j*h, as in every ``np.linspace`` output and so in every run of
+    ``run_sweep`` of two or more points.  It forms every phase and node
     exactly, so each entry lies within ``SPECTRAL_TOL`` of the exact sums
     at any grid length while T*sqrt(n_max+1) stays below 1e9.  Phases from
     1e9 up to the 2**53 refusal are accepted with no stated tolerance: at
@@ -360,8 +358,8 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     A grid starting at T = 0 gets there the exact initial state, the direct
     route's bits.  It sums the grid as one block by two transforms, the
     population inversion and the coherence, with working memory of about
-    200 B a time.  Scalars, non-uniform arrays, shorter grids, grids with
-    equal ends and the vacuum take the direct route.
+    200 B a time.  Scalars, one time, non-uniform or multi-dimensional
+    arrays, grids with equal ends and the vacuum take the direct route.
 
     A T at which T*sqrt(n_max+1) overflows, or reaches 2**53, where the
     phase's ulp is 2 radians and the direct sums keep no digit, is refused
@@ -383,7 +381,7 @@ def reduced_density(amps: FockAmplitudes, T) -> AtomicDensityMatrix:
     p = w * w
     q = w[1:] * w[:-1]
     h = None
-    if w.size > 1 and T.size >= SPECTRAL_MIN_TIMES and T.ndim == 1:
+    if w.size > 1 and T.size > 1 and T.ndim == 1:
         step = (T[-1] - T[0]) / (T.size - 1)
         off = np.abs(T - (T[0] + step * np.arange(T.size))).max()
         if step != 0.0 and off <= _GRID_ULPS * np.spacing(max(abs(T[0]), abs(T[-1]))):

@@ -43,10 +43,10 @@ def run_sweep(config: dynamics.SimulationConfig,
     Bloch vector, the entropies and, when ``with_oracle`` is set, the slow
     spherical quadrature are each computed at once, into columns allocated
     for the whole grid.  Each run's points are ``np.linspace`` of its own
-    ends, so each takes the spectral route: ``t`` is ``np.linspace(t_start,
-    t_end, t_steps)`` on a sweep of one run, and inside the runs of a longer
-    one moves off it by up to 3 ulps of its larger |end| (the worst of 20000
-    random grids; 1 on most).
+    ends, so each run with unequal ends takes the spectral route: ``t`` is
+    ``np.linspace(t_start, t_end, t_steps)`` on a sweep of one run, and
+    inside the runs of a longer one moves off it by up to 3 ulps of its
+    larger |end| (the worst of 20000 random grids; 1 on most).
 
     No stage runs twice.  A DomainError or PrecisionLossError is raised
     again, as an error of its type, as ``at T = <t>: <its message>``: <t>

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,7 @@ import pytest
 
 from jcm_entropy import DomainError, SimulationConfig, emit, run_sweep
 from jcm_entropy.cli import build_parser, entry, main
+from jcm_entropy.dynamics import SPECTRAL_TOL
 from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 
 BASE_HEADER = "t,sx,sy,sz,eta,xi,gamma,wehrl_closed,wehrl_series,gamma_norm,wehrl_norm"
@@ -307,15 +309,22 @@ class TestMain:
 
     @pytest.mark.parametrize("alpha_mag", ["1e-300", "5e-324"])
     def test_alpha_squared_underflow(self, alpha_mag, tmp_path):
-        # |alpha|^2 underflows to 0: a ZeroDivisionError traceback before
+        # |alpha|^2 underflows to 0: a ZeroDivisionError traceback before.
+        # Four times take the spectral route on the 21 terms kept, each
+        # Bloch component within twice SPECTRAL_TOL of the vacuum's direct
+        # sums (a component is twice an entry); one time takes the direct
+        # route, with every column within 1e-299 of the vacuum's
         tiny, vacuum = tmp_path / "tiny.csv", tmp_path / "vacuum.csv"
-        args = ["--t-end", "5", "--t-steps", "4", "--output"]
-        assert main(["--alpha-mag", alpha_mag, *args, str(tiny)]) == 0
-        assert main(["--alpha-mag", "0", *args, str(vacuum)]) == 0
-        got = np.loadtxt(tiny, delimiter=",", skiprows=1)
-        want = np.loadtxt(vacuum, delimiter=",", skiprows=1)
-        assert got.shape == want.shape == (4, len(BASE_COLUMNS))
-        assert np.abs(got - want).max() <= 1e-299
+        for grid, bloch, bound in (
+                (["--t-steps", "4"], slice(1, 5), 2 * SPECTRAL_TOL),
+                (["--t-start", "2.5", "--t-steps", "1"], slice(None), 1e-299)):
+            args = ["--t-end", "5", *grid, "--output"]
+            assert main(["--alpha-mag", alpha_mag, *args, str(tiny)]) == 0
+            assert main(["--alpha-mag", "0", *args, str(vacuum)]) == 0
+            got = np.loadtxt(tiny, delimiter=",", skiprows=1, ndmin=2)
+            want = np.loadtxt(vacuum, delimiter=",", skiprows=1, ndmin=2)
+            assert got.shape == want.shape == (int(grid[-1]), len(BASE_COLUMNS))
+            assert np.abs(got - want)[:, bloch].max() <= bound
 
     def test_large_alpha(self, tmp_path):
         # |alpha| >= 39 underflowed exp(-|alpha|^2/2) in the old recurrence
@@ -431,6 +440,29 @@ class TestEntry:
         assert domain.returncode == 1
         assert domain.stdout == b""
         assert domain.stderr.startswith(b"jcm-entropy: at T = 1e+300: Rabi phase")
+
+    def test_ci_console_script_step(self, tmp_path):
+        # the workflow's "Console script" step, its body run as the runner's
+        # bash runs it, with the installed script as the module run
+        import yaml
+
+        root = Path(__file__).resolve().parents[1]
+        workflow = yaml.safe_load((root / ".github/workflows/tier1.yml").read_text())
+        [step] = [s for s in workflow["jobs"]["tier1"]["steps"]
+                  if s.get("name") == "Console script"]
+        assert step["shell"] == "bash"
+        script = (f'jcm-entropy() {{ {shlex.quote(sys.executable)} -m jcm_entropy.cli "$@"; }}\n'
+                  + step["run"])
+        env = dict(os.environ, RUNNER_TEMP=str(tmp_path),
+                   PATH=os.pathsep.join((str(Path(sys.executable).parent),
+                                         os.environ.get("PATH", ""))),
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(["bash", "-eo", "pipefail", "-c", script], env=env,
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert (tmp_path / "s.csv").exists() and (tmp_path / "s.json").exists()
 
     def test_entry_freezes_the_import_heap(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["jcm-entropy", *self.ARGS])

@@ -1,12 +1,15 @@
 import cmath
 import math
 import re
+import sys
 import tracemalloc
 import types
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcm_entropy import (
     AtomicDensityMatrix,
@@ -20,7 +23,7 @@ from jcm_entropy import (
     run_sweep,
 )
 from jcm_entropy import dynamics
-from jcm_entropy.dynamics import SPECTRAL_MIN_TIMES, SPECTRAL_TOL
+from jcm_entropy.dynamics import SPECTRAL_TOL
 from oracles import trig_power_integral, wehrl_entropy_triple_sum
 
 
@@ -391,8 +394,9 @@ class TestReducedDensity:
             reduced_density(amps, np.array([0.0, float("inf")]))
 
     def test_time_array_matches_scalar_calls(self):
+        # a non-uniform array takes the direct route, bit for bit
         amps = coherent_amplitudes(7.0, 0.9, 1e-12)
-        T = np.linspace(0.0, 45.0, 37)
+        T = np.geomspace(0.1, 45.0, 37)
         rho = reduced_density(amps, T)
         b = bloch_vector(rho)
         for i, t in enumerate(T.tolist()):
@@ -432,11 +436,11 @@ def pointwise_density(amps, T):
 
 
 def direct_density(amps, T):
-    """rho_ee, rho_gg and rho_eg with the spectral route switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "SPECTRAL_MIN_TIMES", math.inf)
-        rho = reduced_density(amps, T)
-    return rho.rho_ee, rho.rho_gg, rho.rho_eg
+    """rho_ee, rho_gg and rho_eg by the direct route's sums, whatever the grid."""
+    w = amps.weights
+    root = np.sqrt(np.arange(amps.n_min + 1.0, amps.n_max + 2.0))
+    ee, gg, coh = dynamics._direct_sums(w * w, w[1:] * w[:-1], root, np.asarray(T, float))
+    return ee, gg, 1j * cmath.exp(1j * amps.phase) * coh
 
 
 def mp_density(amps, T, roots):
@@ -456,6 +460,13 @@ def mp_density(amps, T, roots):
 def revival_grid(alpha_mag, revivals, t_steps):
     """T in [0, revivals * T_r], T_r = 2 pi |alpha| the revival time."""
     return np.linspace(0.0, revivals * 2.0 * math.pi * alpha_mag, t_steps)
+
+
+def moved_grid(ulps):
+    """np.linspace(3, 33, 1000) with point 500 moved by ``ulps`` ulps of 33."""
+    T = np.linspace(3.0, 33.0, 1000)
+    T[500] += ulps * np.spacing(33.0)
+    return T
 
 
 @pytest.fixture(scope="module")
@@ -673,22 +684,30 @@ class TestSpectralRoute:
             assert spectral_err <= SPECTRAL_TOL < abs(direct_values[j] - exact)
 
     @pytest.mark.parametrize("alpha_mag", [7.0, 30.0, 60.0])
-    def test_about_the_crossover(self, alpha_mag, spectral_calls):
-        # the grid length alone sets the route, whatever the basis size
+    def test_short_grids_are_spectral(self, alpha_mag, spectral_calls):
+        # no grid is too short for the route, whatever the basis size
         amps = coherent_amplitudes(alpha_mag, 0.3, 1e-12)
-        first = SPECTRAL_MIN_TIMES
-        below = np.linspace(3.0, 33.0, first - 1)
-        rho = reduced_density(amps, below)
-        assert spectral_calls == []
-        for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg),
-                             pointwise_density(amps, below)):
-            assert np.array_equal(got, want)
-        above = np.linspace(3.0, 33.0, first)
-        rho = reduced_density(amps, above)
-        assert spectral_calls == [first]
-        for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg),
-                             pointwise_density(amps, above)):
-            assert np.abs(got - want).max() <= SPECTRAL_TOL
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        for t_steps in (2, 3, 127):
+            T = np.linspace(3.0, 33.0, t_steps)
+            rho = reduced_density(amps, T)
+            assert spectral_calls == [t_steps]
+            spectral_calls.clear()
+            for j in sorted({0, t_steps // 2, t_steps - 1}):
+                self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
+
+    def test_short_grid_at_long_times_against_mpmath(self, spectral_calls):
+        # 17 times near T = 1e5 on 641 terms, where the direct sums are up
+        # to 3.2e-11 off
+        amps = coherent_amplitudes(30.0, 0.7, 1e-12)
+        T = np.linspace(1e5, 1e5 + 10.0, 17)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        for j in range(T.size):
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
 
     def test_anchors_equal_the_direct_route(self, spectral_calls):
         # a grid longer than a sweep's run is one block, with one anchor
@@ -714,15 +733,29 @@ class TestSpectralRoute:
                 assert np.abs(got - want).max() <= SPECTRAL_TOL
         assert spectral_calls == [2000, 5000]
 
+    def test_a_grid_within_its_ulps_is_spectral(self, spectral_calls):
+        # the most a uniform grid's point may be off, _GRID_ULPS = 4 ulps of
+        # its larger |end|: the skew row keeps that point within SPECTRAL_TOL
+        amps = coherent_amplitudes(30.0, 0.0, 1e-12)
+        T = moved_grid(4)
+        rho = reduced_density(amps, T)
+        assert spectral_calls == [T.size]
+        with mpmath.workdps(40):
+            roots = [mpmath.sqrt(n) for n in range(amps.n_min + 1, amps.n_max + 2)]
+        for j in (499, 500, 501):
+            self.assert_within_tol(rho, j, mp_density(amps, T[j], roots))
+
     @pytest.mark.parametrize("T", [
         np.full(1000, 3.0),                     # t_start == t_end
-        np.array([3.0, 33.0]),                  # two points
+        np.array([3.0, 3.0]),                   # two points, equal ends
+        np.array([3.0]),                        # one time
         np.geomspace(1.0, 100.0, 1000),         # not uniform
         np.linspace(3.0, 33.0, 1000) + np.where(np.arange(1000) == 500, 1e-9, 0.0),
-    ], ids=["constant", "two-points", "geometric", "one-point-moved"])
+        *(moved_grid(ulps) for ulps in (5, 6, 7, 8)),  # past _GRID_ULPS = 4
+    ], ids=["constant", "two-points", "one-time", "geometric", "one-point-moved",
+            *(f"moved-{ulps}-ulps" for ulps in (5, 6, 7, 8))])
     def test_degenerate_grids_take_the_direct_route(self, T, spectral_calls):
         amps = coherent_amplitudes(30.0, 0.0, 1e-12)
-        assert T.size >= SPECTRAL_MIN_TIMES or T.size == 2
         rho = reduced_density(amps, T)
         assert spectral_calls == []
         for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), pointwise_density(amps, T)):
@@ -745,6 +778,30 @@ class TestSpectralRoute:
                                             t_steps=500))
         assert spectral_calls == []
         assert np.all(result.data["sz"] == result.data["sz"][0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(t_steps=st.integers(2, 5000), alpha_mag=st.floats(1e-3, 80.0),
+       t_start=st.floats(-200.0, 200.0), span=st.floats(1e-3, 500.0))
+def test_spectral_route_matches_the_direct_sums(t_steps, alpha_mag, t_start, span):
+    # The direct sums round each Rabi phase T*sqrt(n+1), the product and the
+    # square root each by half an ulp: an error of at most eps*|T|*r_max per
+    # term, r_max = sqrt(n_max+1).  rho_ee and rho_gg are weighted by p_n,
+    # which sum to 1, so they move by at most that; the coherence's weights
+    # |q_n| sum to at most 1 and each term holds two phases, so it moves by
+    # twice that.  The spectral route is within SPECTRAL_TOL of the exact sums.
+    amps = coherent_amplitudes(alpha_mag, 0.7, 1e-12)
+    T = np.linspace(t_start, t_start + span, t_steps)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        real = dynamics._spectral_sums
+        patch.setattr(dynamics, "_spectral_sums",
+                      lambda *args: calls.append(args[-2].size) or real(*args))
+        rho = reduced_density(amps, T)
+    assert calls == [t_steps]
+    rounding = 2.0 * sys.float_info.epsilon * np.abs(T).max() * math.sqrt(amps.n_max + 1)
+    for got, want in zip((rho.rho_ee, rho.rho_gg, rho.rho_eg), direct_density(amps, T)):
+        assert np.abs(got - want).max() <= SPECTRAL_TOL + rounding
 
 
 class TestAttractorPurity:

@@ -304,6 +304,24 @@ class TestArrayQuadrature:
         assert threading.current_thread() in masked
         assert any(t is not threading.current_thread() for t in masked)
 
+    @pytest.mark.parametrize("excess, refused", [(1e-13, False), (1e-10, True)],
+                             ids=["accepted", "refused"])
+    def test_q_floor_at_its_edge(self, excess, refused):
+        # radius 1 + excess antipodal to node (10, 5), whose Q is about
+        # -excess/(4 pi): -8e-15 is taken as 0, -8e-12 is below Q_FLOOR
+        # (-1e-12), the vector outside the ball
+        quad = SphereQuadrature(64, 128)
+        mu = husimi._gauss_legendre(64)[0][10].item()
+        phi = phi_grid(quad)[5].item()
+        r, s = 1.0 + excess, math.sqrt(1.0 - mu * mu)
+        b = BlochVector(-r * s * math.cos(phi), -r * s * math.sin(phi), -r * mu, None)
+        if refused:
+            with pytest.raises(DomainError, match="^negative Q density"):
+                wehrl_entropy_quadrature(b, quad)
+        else:
+            got = wehrl_entropy_quadrature(b, quad)
+            assert abs(got - wehrl_entropy_closed(1.0)) <= QUAD_ERROR_NEAR_PURE
+
     def test_negative_q_named_in_a_later_block(self):
         quad = SphereQuadrature(64, 128)
         sx, sy, sz = random_components(10, seed=2, max_radius=0.9)

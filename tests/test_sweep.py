@@ -35,15 +35,19 @@ from jcm_entropy.sweep import BASE_COLUMNS, ORACLE_COLUMNS
 EXACT = ("t", "sx", "sy", "sz", "eta", "xi", "wehrl_series")
 
 
-def pointwise_sweep(config, with_oracle=False):
-    """One grid point at a time, as the sweep was composed before it took arrays."""
+def pointwise_sweep(config, with_oracle=False, blochs=None):
+    """One grid point at a time, as the sweep was composed before it took
+    arrays; from the Bloch vectors ``blochs`` where given, else from scalar
+    reduced_density calls."""
     amps = coherent_amplitudes(config.alpha_mag, config.alpha_phase,
                                config.fock_tail_tol)
     quad = SphereQuadrature(config.quad_theta_order, config.quad_phi_order)
     columns = ORACLE_COLUMNS if with_oracle else BASE_COLUMNS
+    times = np.linspace(config.t_start, config.t_end, config.t_steps).tolist()
+    if blochs is None:
+        blochs = [bloch_vector(reduced_density(amps, t)) for t in times]
     rows = []
-    for t in np.linspace(config.t_start, config.t_end, config.t_steps).tolist():
-        b = bloch_vector(reduced_density(amps, t))
+    for t, b in zip(times, blochs):
         values = {"t": t, **vars(b), **entropy_record(b.eta, config.series_tol)}
         if with_oracle:
             values["wehrl_quadrature"] = wehrl_entropy_quadrature(b, quad)
@@ -51,9 +55,20 @@ def pointwise_sweep(config, with_oracle=False):
     return {name: np.array(col) for name, col in zip(columns, zip(*rows))}
 
 
-def assert_matches_pointwise(config, with_oracle=False):
+def assert_matches_pointwise(config, with_oracle=False, spectral=False):
+    """A sweep against its per-point composition.  A ``spectral`` sweep's
+    Bloch columns are within twice SPECTRAL_TOL of the scalar calls' (a
+    component is twice an entry), and its other columns are then those
+    composed from its own Bloch vectors."""
     result = run_sweep(config, with_oracle=with_oracle)
     expected = pointwise_sweep(config, with_oracle)
+    if spectral:
+        bloch = [result.data[name] for name in ("sx", "sy", "sz", "eta")]
+        for name, got in zip(("sx", "sy", "sz", "eta"), bloch):
+            spread = np.abs(got - expected[name]).max()
+            assert spread <= 2 * dynamics.SPECTRAL_TOL, (name, spread)
+        blochs = [dynamics.BlochVector(*row) for row in zip(*(b.tolist() for b in bloch))]
+        expected = pointwise_sweep(config, with_oracle, blochs)
     assert tuple(result.data) == result.columns == tuple(expected)
     for name, want in expected.items():
         got = result.data[name]
@@ -68,29 +83,26 @@ def assert_matches_pointwise(config, with_oracle=False):
 
 class TestPointwiseParity:
     def test_alpha30_partial_last_chunk(self):
-        chunk = CHUNK_ELEMENTS // coherent_amplitudes(30.0, 0.0, 1e-12).coefficients.size
-        config = SimulationConfig(alpha_mag=30.0, alpha_phase=0.4, t_start=3.0,
-                                  t_end=33.0, t_steps=100)
+        # the direct route's chunks of 12 times on a non-uniform array, the
+        # last one partial: each time's entries are a scalar call's
+        amps = coherent_amplitudes(30.0, 0.4, 1e-12)
+        chunk = CHUNK_ELEMENTS // amps.weights.size
+        T = np.geomspace(3.0, 33.0, 100)
         assert 1 < chunk < 100 and 100 % chunk
-        assert_matches_pointwise(config)
+        rho = reduced_density(amps, T)
+        for i, t in enumerate(T.tolist()):
+            one = reduced_density(amps, t)
+            assert (rho.rho_ee[i], rho.rho_gg[i], rho.rho_eg[i]) == \
+                (one.rho_ee, one.rho_gg, one.rho_eg)
 
     def test_short_small_basis_grid_takes_the_spectral_route(self, monkeypatch):
-        # enough times for the spectral route on any basis: each Bloch
-        # component, twice an entry, is within twice its tolerance of the
-        # scalar calls' direct sums
         calls = []
         real = dynamics._spectral_sums
         monkeypatch.setattr(dynamics, "_spectral_sums",
                             lambda *args: calls.append(args[-2].size) or real(*args))
         config = SimulationConfig(alpha_mag=3.0, alpha_phase=0.4, t_end=20.0, t_steps=300)
-        assert 300 >= dynamics.SPECTRAL_MIN_TIMES
-        result = run_sweep(config)
+        assert_matches_pointwise(config, spectral=True)
         assert calls == [300]
-        expected = pointwise_sweep(config)
-        assert np.array_equal(result.data["t"], expected["t"])
-        for name in ("sx", "sy", "sz", "eta"):
-            spread = np.abs(result.data[name] - expected[name]).max()
-            assert spread <= 2 * dynamics.SPECTRAL_TOL, (name, spread)
 
     def test_single_point(self):
         config = SimulationConfig(alpha_mag=2.0, t_start=1.5, t_end=1.5, t_steps=1)
@@ -100,7 +112,7 @@ class TestPointwiseParity:
     def test_with_oracle(self):
         config = SimulationConfig(alpha_mag=3.0, alpha_phase=-1.0, t_end=20.0,
                                   t_steps=7, quad_theta_order=16, quad_phi_order=32)
-        assert_matches_pointwise(config, with_oracle=True)
+        assert_matches_pointwise(config, with_oracle=True, spectral=True)
 
 
 class TestColumnarResult:
@@ -117,8 +129,7 @@ class TestColumnarResult:
         run_sweep(SimulationConfig(alpha_mag=30.0, t_end=30.0, t_steps=100))
         assert calls == [100]
         # a sweep's runs are the spectral route's blocks, each summed on its
-        # own; runs of equal length leave none too short for that route
-        assert sweep.RUN_POINTS // 2 >= dynamics.SPECTRAL_MIN_TIMES
+        # own
         direct = []
         real_direct = dynamics._direct_sums
         monkeypatch.setattr(dynamics, "_direct_sums",
@@ -274,23 +285,25 @@ class TestErrorContract:
          "density matrix is not positive semidefinite")], ids=["trace", "psd"])
     def test_names_first_failing_point_inside_a_later_chunk(self, monkeypatch, leak, check):
         real = dynamics.reduced_density
+        runs = []
 
         def leaky(amps, T, **kw):
+            runs.append(T.copy())
             excess = np.where(np.asarray(T) >= 2.0, 1.0, 0.0)
             return AtomicDensityMatrix(*leak(real(amps, T, **kw), excess))
 
         monkeypatch.setattr(dynamics, "reduced_density", leaky)
-        # 100 times, too few for the spectral route: the direct route's
-        # chunks of 12 times at |alpha| = 30
-        config = SimulationConfig(alpha_mag=30.0, t_end=5.0, t_steps=100)
-        t = np.linspace(0.0, 5.0, 100)
-        assert t.size < dynamics.SPECTRAL_MIN_TIMES
-        index = np.flatnonzero(t >= 2.0)[0]
-        step = CHUNK_ELEMENTS // coherent_amplitudes(30.0, 0.0, 1e-12).coefficients.size
-        assert index > step and index % step  # inside a chunk, not the first one
-        message = f"at T = {t[index].item()!r}: {check}"
-        with pytest.raises(DomainError, match="^" + re.escape(message)):
+        # three runs of 2731 points, each a spectral block: T = 2 lies
+        # inside the second run, not at its first point
+        config = SimulationConfig(alpha_mag=30.0, t_end=5.0,
+                                  t_steps=2 * sweep.RUN_POINTS + 1)
+        with pytest.raises(DomainError) as raised:
             run_sweep(config)
+        assert len(runs) == 2
+        index = np.flatnonzero(runs[1] >= 2.0)[0]
+        assert 0 < index and runs[0][-1] < 2.0
+        message = f"at T = {runs[1][index].item()!r}: {check}"
+        assert str(raised.value).startswith(message), str(raised.value)
 
     def test_names_the_sweeps_own_failing_point(self):
         # the sweep's own eta first fails the Wehrl series at index 104; a
@@ -425,12 +438,12 @@ def test_working_memory_is_bounded(alpha_mag, t_steps):
 
 
 @pytest.mark.parametrize("alpha_mag,t_start,t_end,t_steps,runs", [
-    (200.0, 0.0, 30.0, 127, [127]), (30.0, 3.0, 3.0, 20000, [4000] * 5)],
-    ids=["short-grid", "zero-step"])
+    (200.0, 3.0, 30.0, 1, [1]), (30.0, 3.0, 3.0, 20000, [4000] * 5)],
+    ids=["one-point", "zero-step"])
 def test_direct_route_working_memory_is_bounded(monkeypatch, alpha_mag, t_start, t_end,
                                                 t_steps, runs):
-    # 0.53 and 0.69 MiB: a grid too short for the spectral route, and one of
-    # zero step, take the direct sums, CHUNK_ELEMENTS phases at a time
+    # 0.31 and 0.69 MiB: a one-point sweep, and one of zero step, take the
+    # direct sums, CHUNK_ELEMENTS phases at a time
     direct = []
     real_direct = dynamics._direct_sums
     monkeypatch.setattr(dynamics, "_direct_sums",
